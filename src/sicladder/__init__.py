@@ -4,7 +4,7 @@ unitaries, equiangular tight frames, generalized parity, proto families,
 and the seeded searches that find aligned SICs inside them.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .errors import (AlignmentRequired, BadCompletion, BadDimension,
                      BadPairing, DimensionMismatch, EmptyEigenspace,
@@ -13,7 +13,7 @@ from .errors import (AlignmentRequired, BadCompletion, BadDimension,
                      RankDeficient, SearchFailed, SicladderError, WrongCount)
 from .linalg import (eig_unitary, gram_schmidt, partial_trace,
                      phase_fix_columns, principal_angles)
-from .heisenberg import (crt_permutation, crt_split_certificate,
+from .heisenberg import (crt_index, crt_permutation, crt_split_certificate,
                          crt_split_index, displaced_vector, displacement,
                          omega, overlap_table, tau, weyl_commutation_check,
                          wh_orbit)

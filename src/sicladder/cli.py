@@ -35,8 +35,11 @@ def _pairs(v):
     return [[_fmt(z.real), _fmt(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
-def _unpairs(rows):
-    return np.array([complex(float(a), float(b)) for a, b in rows])
+def _unpairs(rows, what="vector"):
+    v = np.array([complex(float(a), float(b)) for a, b in rows])
+    if not np.all(np.isfinite(v)):
+        raise SicladderError(f"{what} has a non-finite entry")
+    return v
 
 
 def vector_digest(v):
@@ -98,13 +101,28 @@ def _fiducial_from_body(body, label=""):
 
 
 def load_artifact(path):
-    """Parsed body plus, for fiducial files, the reconstructed fiducial."""
+    """Parsed body plus, for fiducial files, the reconstructed fiducial.
+
+    Fails closed: an unknown schema_version or a non-finite entry in any
+    stored vector raises SicladderError.
+    """
     with open(path) as fh:
         body = json.load(fh)
+    if not isinstance(body, dict):
+        raise SicladderError("artifact is not a JSON object")
+    version = body.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SicladderError(
+            f"unknown schema_version {version!r} (this version reads {SCHEMA_VERSION})")
     kind = body.get("kind", "fiducial")
     f = None
     if kind == "fiducial":
         f = _fiducial_from_body(body, label=os.path.basename(path))
+    if body.get("source") is not None:
+        _unpairs(body["source"]["vector"], what="source vector")
+    for bi, b in enumerate(body.get("branches", [])):
+        for si, sol in enumerate(b["solutions"]):
+            _unpairs(sol["vector"], what=f"branch {bi} solution {si} vector")
     return kind, body, f
 
 

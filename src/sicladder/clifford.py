@@ -228,9 +228,10 @@ def crt_split_symplectic(F, n1, n2):
     q1, q2 = pow(n2, -1, n1), pow(n1, -1, n2)
     F1 = np.array([[a, n2 * b], [q1 * g, e]]) % n1
     F2 = np.array([[a, n1 * b], [q2 * g, e]]) % n2
-    from .heisenberg import crt_permutation
-    V = crt_permutation(n1, n2)
-    A = V @ symplectic_unitary(F, N) @ V.T
+    from .heisenberg import crt_index
+    g = crt_index(n1, n2)
+    A = np.empty((N, N), dtype=complex)
+    A[np.ix_(g, g)] = symplectic_unitary(F, N)   # V U_F V^T
     B = np.kron(symplectic_unitary(F1, n1), symplectic_unitary(F2, n2))
     k = np.unravel_index(np.argmax(np.abs(B)), B.shape)
     err = np.abs(A - (A[k] / B[k]) * B).max()

@@ -15,7 +15,16 @@ assumed.
 Tensor products are row major (left factor slow), matching numpy.kron; the
 Chinese-remainder permutation V maps the global index r to the tensor index
 (r mod n1, r mod n2) and satisfies V D^(n1 n2)_p V^dag = D_{p'} (x) D_{p''}
-with global phase +1.
+with global phase +1; the code applies V as the index array of crt_index,
+never as a matrix.
+
+Kernel rewrites must return bit-identical arrays, not merely close ones:
+the searches are Nelder-Mead runs, which turn a one-ulp change in the
+objective into a different restart history. Keep the arithmetic operation
+for operation (same products, same summation order) and check new code
+against the old with np.array_equal. One pitfall: numpy multiplies in place
+into a large temporary (over 256 KiB), so `a * (b * c)` can round
+differently from the same product on a named array.
 """
 import functools
 
@@ -58,14 +67,24 @@ def displacement(d, i, j):
     return M
 
 
-def displaced_vector(psi, i, j):
-    """D_{i,j} psi without forming the matrix."""
-    d = len(psi)
+@functools.lru_cache(maxsize=1024)
+def _displacement_gather(d, i, j):
+    # keyed on the raw i, j: tau^d = 1, yet t[k + d] and t[k] differ in the
+    # last bit, so reducing i or j mod d would change the phase row
     t = tau_powers(d)
     s = np.arange(d)
+    dest = (s + i) % d
     ph = t[(i * j + 2 * j * s) % (2 * d)]
-    out = np.zeros(d, dtype=complex)
-    out[(s + i) % d] = ph * psi[s]
+    dest.setflags(write=False)
+    ph.setflags(write=False)
+    return dest, ph
+
+
+def displaced_vector(psi, i, j):
+    """D_{i,j} psi without forming the matrix."""
+    dest, ph = _displacement_gather(len(psi), i, j)
+    out = np.zeros(len(psi), dtype=complex)
+    out[dest] = ph * psi
     return out
 
 
@@ -149,19 +168,45 @@ def weyl_commutation_check(d, tol=1e-12):
 
 
 @functools.lru_cache(maxsize=16)
-def crt_permutation(n1, n2):
-    """Permutation matrix V with V[n2*(r mod n1) + (r mod n2), r] = 1.
+def crt_index(n1, n2):
+    """Index array g with g[r] = n2*(r mod n1) + (r mod n2).
 
-    Realizes the ring isomorphism Z_{n1 n2} -> Z_{n1} x Z_{n2}; V is unitary
-    and V D^(n1 n2)_p V^dag is a pure tensor for every p (certified in tests).
-    Cached; treat the result as read-only.
+    Realizes the ring isomorphism Z_{n1 n2} -> Z_{n1} x Z_{n2}: the global
+    index r sits at the row-major tensor index g[r]. For the permutation
+    matrix V of crt_permutation, V.T @ x is the gather x[g] and V @ y is the
+    scatter out[g] = y (see crt_to_tensor); both are exact, where a matmul
+    by V would cost O(N^2). Cached and read-only.
     """
     if np.gcd(n1, n2) != 1:
         raise NotCoprime(f"gcd({n1},{n2}) != 1")
-    N = n1 * n2
-    V = np.zeros((N, N))
-    for r in range(N):
-        V[n2 * (r % n1) + (r % n2), r] = 1.0
+    r = np.arange(n1 * n2)
+    g = n2 * (r % n1) + r % n2
+    g.setflags(write=False)
+    return g
+
+
+def crt_to_tensor(x, n1, n2):
+    """V @ x for the CRT permutation V: moves the rows of x (a vector, or a
+    matrix of column vectors) from global to tensor order. The inverse,
+    V.T @ y, is the gather y[crt_index(n1, n2)].
+    """
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    out[crt_index(n1, n2)] = x
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def crt_permutation(n1, n2):
+    """Permutation matrix V with V[n2*(r mod n1) + (r mod n2), r] = 1.
+
+    V is unitary and V D^(n1 n2)_p V^dag is a pure tensor for every p
+    (certified in tests). Built from crt_index, which is how the package
+    applies it. Cached; treat the result as read-only.
+    """
+    g = crt_index(n1, n2)
+    V = np.zeros((len(g), len(g)))
+    V[g, np.arange(len(g))] = 1.0
     V.setflags(write=False)
     return V
 
@@ -186,14 +231,15 @@ def crt_split_certificate(n1, n2, ps=None):
     index list (all of them by default). Returns (max_err, max_phase_dev)
     where max_phase_dev measures how far the implied global phase is from +1.
     """
-    V = crt_permutation(n1, n2)
+    g = crt_index(n1, n2)
     N = n1 * n2
     if ps is None:
         ps = [(i, j) for i in range(N) for j in range(N)]
     max_err = 0.0
     max_ph = 0.0
     for p in ps:
-        lhs = V @ displacement(N, *p) @ V.T
+        lhs = np.empty((N, N), dtype=complex)
+        lhs[np.ix_(g, g)] = displacement(N, *p)   # V D_p V^T
         pa, pb = crt_split_index(p, n1, n2)
         rhs = np.kron(displacement(n1, *pa), displacement(n2, *pb))
         max_err = max(max_err, np.abs(lhs - rhs).max())

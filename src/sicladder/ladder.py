@@ -20,7 +20,12 @@ equal to one target eigenvalue. Alignment of Psi means
 with theta the source SIC's overlap phases, p' the kappa-reindexed p
 (kappa = (d-1)/2, the clock twist the index split introduces), and M some
 integer matrix of determinant +-1 mod d.
+
+build_proto is the inner loop of every climb search. Like the heisenberg
+kernels, any rewrite of it must return bit-identical vectors (see the
+heisenberg module docstring): the same products, summed in the same order.
 """
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -33,7 +38,7 @@ from .errors import (AlignmentRequired, BadPairing, DimensionMismatch,
                      SicladderError)
 from .fiducials import OverlapTable, SicFiducial, overlap_phases, verify_sic
 from .frames import FrameSpec
-from .heisenberg import crt_permutation, displacement
+from .heisenberg import crt_index, crt_to_tensor, displacement
 from .linalg import eig_unitary, phase_fix_columns
 
 
@@ -339,6 +344,14 @@ class ProtoFamily:
                 raise SicladderError(f"blocks of size {s} not supported")
         return kinds
 
+    @functools.cached_property
+    def kron_rows(self):
+        """Per block, the tensor rows kron(f_a, e_b) stacked in the order of
+        the block's coefficient matrix flattened row-major (a slow, b fast)."""
+        fv, ev = self.f_basis.vectors, self.e_basis.vectors
+        return [np.array([np.kron(fv[:, a], ev[:, b]) for a in fi for b in ei])
+                for fi, ei in self.blocks]
+
     @property
     def pairing(self):
         out = []
@@ -421,27 +434,22 @@ def build_proto(family, params):
     C^{d(d-2)} indexing.
     """
     d = family.d
-    fv, ev = family.f_basis.vectors, family.e_basis.vectors
     half = (d - 1) // 2
     psi = np.zeros((d - 2) * d, dtype=complex)
-    for U, (fi, ei) in zip(block_coefficients(family, params), family.blocks):
-        for a in range(len(fi)):
-            for b in range(len(ei)):
-                psi += U[a, b] * np.kron(fv[:, fi[a]], ev[:, ei[b]])
-    V = crt_permutation(d - 2, d)
-    return V.T @ (psi / np.sqrt(half))
+    for U, rows in zip(block_coefficients(family, params), family.kron_rows):
+        for c, row in zip(U.flat, rows):
+            psi += c * row
+    return (psi / np.sqrt(half))[crt_index(d - 2, d)]
 
 
 def to_tensor(psi, d):
     """Global vector of C^{d(d-2)} as a (d-2) x d coefficient matrix."""
-    V = crt_permutation(d - 2, d)
-    return (V @ np.asarray(psi, dtype=complex)).reshape(d - 2, d)
+    return crt_to_tensor(np.asarray(psi, dtype=complex), d - 2, d).reshape(d - 2, d)
 
 
 def from_tensor(A):
     n1, n2 = A.shape
-    V = crt_permutation(n1, n2)
-    return V.T @ A.ravel()
+    return A.ravel()[crt_index(n1, n2)]
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +542,12 @@ def embedded_etf(psi, d, tol=1e-8):
     small[0, 0] = 1.0
     if np.abs(small - 1).max() > tol:
         raise AlignmentRequired("unit-overlap condition fails; not a proto vector")
-    V = crt_permutation(n1, d)
+    g = crt_index(n1, d)
     cols = np.empty((n1 * d, d * d), dtype=complex)
     c = 0
     for i in range(d):
         for j in range(d):
-            cols[:, c] = V.T @ (A @ displacement(d, i, j).T).ravel()
+            cols[:, c] = (A @ displacement(d, i, j).T).ravel()[g]
             c += 1
     s = np.linalg.svd(cols, compute_uv=False)
     rank = int(np.sum(s > 1e-8 * s[0]))
@@ -554,10 +562,11 @@ def translated_subspaces(psi, d):
     frame, _ = embedded_etf(psi, d)
     q, s, _ = np.linalg.svd(frame.generator, full_matrices=False)
     span = q[:, s > 1e-8 * s[0]]
-    V = crt_permutation(n1, d)
+    g = crt_index(n1, d)
+    tensor_span = crt_to_tensor(span, n1, d)
     out = []
     for a in range(n1):
         for b in range(n1):
             DD = np.kron(displacement(n1, a, b), np.eye(d))
-            out.append(V.T @ (DD @ (V @ span)))
+            out.append((DD @ tensor_span)[g])
     return out

@@ -20,7 +20,7 @@ from .errors import BadPairing, NotASic, SicladderError, WrongCount
 from .fiducials import (SicFiducial, default_symmetry, detect_order3_symmetry,
                         detect_scalar_symmetry, find_fiducial, overlap_phases,
                         sector_fiducials, sic_defect, verify_sic)
-from .heisenberg import crt_permutation, displaced_vector
+from .heisenberg import crt_index, displaced_vector
 from .linalg import phase_fix_columns
 
 
@@ -209,10 +209,11 @@ def equator_geometry_check(solutions, d):
             dists.append(np.arccos(min(1.0, abs(np.vdot(sols[a], sols[b])))))
     if max(dists) - min(dists) > 1e-8:
         return False
-    V = crt_permutation(n1, d)
+    g = crt_index(n1, d)
     from .clifford import symplectic_unitary
     for F in order3_elements(n1):
-        U = V.T @ np.kron(symplectic_unitary(F, n1), np.eye(d)) @ V
+        # V^T (U_F (x) 1) V, by index
+        U = np.kron(symplectic_unitary(F, n1), np.eye(d))[np.ix_(g, g)]
         perm = []
         for s in sols:
             img = U @ s

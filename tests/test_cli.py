@@ -1,9 +1,11 @@
 """End-to-end command tests: artifacts, exit codes, output formats."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sicladder
 from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder.fiducials import SicFiducial
@@ -74,6 +76,59 @@ class TestSerialization:
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         assert cli.main(["verify", "--input", str(p)]) == 1
+
+
+class TestFailClosed:
+    """Malformed artifacts are rejected with exit 1 before any table is printed."""
+
+    @staticmethod
+    def _edited(src, dst, edit):
+        body = json.loads(src.read_text())
+        edit(body)
+        dst.write_text(json.dumps(body))
+        return str(dst)
+
+    @pytest.mark.parametrize("command", ["verify", "report-overlaps"])
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_vector_entry(self, art, tmp_path, capsys, command, entry):
+        def edit(body):
+            body["vector"][2][1] = entry
+        p = self._edited(art / "f5.json", tmp_path / "bad.json", edit)
+        assert cli.main([command, "--input", p]) == 1
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err
+        assert "nan" not in captured.out.lower()
+
+    @pytest.mark.parametrize("command", ["verify", "report-overlaps"])
+    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    def test_unknown_schema_version(self, art, tmp_path, capsys, command, version):
+        def edit(body):
+            if version is None:
+                del body["schema_version"]
+            else:
+                body["schema_version"] = version
+        p = self._edited(art / "f5.json", tmp_path / "bad.json", edit)
+        assert cli.main([command, "--input", p]) == 1
+        assert "schema_version" in capsys.readouterr().err
+
+    def test_non_finite_embedded_source(self, art, tmp_path, capsys):
+        def edit(body):
+            body["source"]["vector"][0][0] = "nan"
+        p = self._edited(art / "climb15-sic0.json", tmp_path / "bad.json", edit)
+        assert cli.main(["verify", "--input", p]) == 1
+        assert "source vector has a non-finite entry" in capsys.readouterr().err
+
+    def test_non_finite_climb_report_solution(self, art, tmp_path, capsys):
+        def edit(body):
+            body["branches"][1]["solutions"][0]["vector"][3][1] = "nan"
+        p = self._edited(art / "climb15.json", tmp_path / "bad.json", edit)
+        assert cli.main(["verify", "--input", p]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_object_json(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        assert cli.main(["report-overlaps", "--input", str(p)]) == 1
 
 
 class TestFiducialFind:
@@ -253,3 +308,8 @@ class TestSeedEnvironment:
         args = cli.build_parser().parse_args(
             ["climb", "--input", "a", "--out", "b"])
         assert args.seed == 0
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert sicladder.__version__ == meta["project"]["version"]

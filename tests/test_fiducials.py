@@ -159,6 +159,21 @@ class TestSearch:
         b = fid.find_fiducial(5, seed=3, restarts=10)
         assert np.array_equal(a.vector, b.vector)
 
+    @pytest.mark.xfail(strict=False,
+                       reason="least_squares(method='lm') returns different "
+                              "last bits for identical inputs depending on heap "
+                              "state, so repeated searches in one process can "
+                              "disagree bitwise")
+    def test_search_is_bitwise_reproducible_within_a_process(self):
+        ref = fid.find_fiducial(9, seed=0).vector
+        keep = []
+        for k in range(20):
+            # allocation churn between calls moves the heap
+            rng = np.random.default_rng(k)
+            keep = keep[-3:] + [[np.empty(int(n)) for n in rng.integers(1, 5000, 50)]]
+            assert np.array_equal(fid.find_fiducial(9, seed=0).vector, ref), \
+                f"call {k + 1} after the first returned different bits"
+
     def test_search_result_is_symmetric_eigenvector(self, f5):
         U = fid.fix_phase_to_table(fid.symplectic_unitary(f5.symmetry, 5), 3)
         lam = f5.symmetry_eigenvalue
