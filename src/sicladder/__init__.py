@@ -35,8 +35,8 @@ from .ladder import (AlignmentCertificate, GeneralizedParity, LabeledBasis,
                      ProtoFamily, block_coefficients, build_proto,
                      embedded_etf, feasible_targets, generalized_parity,
                      h_conjugate, lift_fiducial, make_proto_family,
-                     paired_bases, paired_bases_refined, root_of_parity,
-                     translated_subspaces, verify_alignment)
+                     paired_bases, paired_bases_refined, refining_involutions,
+                     root_of_parity, translated_subspaces, verify_alignment)
 from .optimizer import (COS_HALF_ANGLE_195, PHASE_CONSTANT_5, POLY_COEFFS_35,
                         ClimbOutcome, SearchConfig, SearchResult,
                         check_known_phase_5, check_known_polynomial_35,

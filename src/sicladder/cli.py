@@ -19,8 +19,7 @@ import numpy as np
 
 from . import frames, ladder, optimizer
 from .errors import (AlignmentRequired, SearchFailed, SicladderError)
-from .fiducials import (SicFiducial, detect_order3_symmetry,
-                        detect_scalar_symmetry, overlap_phases, sic_defect,
+from .fiducials import (SicFiducial, overlap_phases, sic_defect,
                         two_design_deviation, verify_sic)
 
 SCHEMA_VERSION = 1
@@ -194,29 +193,11 @@ def cmd_climb(args):
     if not verify_sic(f, tol=PASS_TOL):
         print("error: input does not verify as a SIC fiducial", file=sys.stderr)
         return 1
-    if f.symmetry is None:
-        det = detect_order3_symmetry(f)
-        if det is None:
-            print("error: no order-3 symmetry found on the input", file=sys.stderr)
-            return 1
-        f.symmetry, f.symmetry_eigenvalue = det
-
-    refined = False
-    if f.d not in (5, 7, 9) and not args.try_both_generators and not args.conjugate_pairing:
-        refined = detect_scalar_symmetry(f) is not None
-    # the refined objective is truncated and cheap per step, but its basin
-    # is narrow: converging restarts need the longer leash
-    iters = args.max_iters if args.max_iters is not None else (8000 if refined else 3000)
     cfg = optimizer.SearchConfig(restarts=args.restarts, seed=args.seed,
-                                 max_iters=iters)
-    if refined:
-        if cfg.term_budget is None:
-            cfg.term_budget = 9
-        out = optimizer.climb_refined(f, sector=args.sector, cfg=cfg)
-    else:
-        out = optimizer.climb(f, sector=args.sector,
-                              all_generators=args.try_both_generators,
-                              conjugate=args.conjugate_pairing, cfg=cfg)
+                                 max_iters=args.max_iters)
+    out = optimizer.climb(f, sector=args.sector,
+                          all_generators=args.try_both_generators,
+                          conjugate=args.conjugate_pairing, cfg=cfg)
 
     save_json(args.out, climb_report_payload(out, f))
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
@@ -414,8 +395,8 @@ def build_parser():
                    help="one-parameter conjugate family (needs three singleton blocks)")
     q.add_argument("--restarts", type=int, default=20)
     q.add_argument("--max-iters", type=int, default=None,
-                   help="simplex iteration cap per restart (default 8000 on the"
-                        " refined path, 3000 otherwise)")
+                   help="simplex iteration cap per restart (default 8000 when the"
+                        " step has order-6 labels, 3000 otherwise)")
     q.add_argument("--seed", type=int, default=_default_seed())
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_climb)

@@ -205,11 +205,6 @@ def sector_fiducials(d, zauner, eigenvalue, tries=400, seed=17):
             for k, (_, v) in enumerate(keyed)]
 
 
-def count_eigenspace_fiducials(d, zauner, eigenvalue, tries=400, seed=17):
-    """Distinct fiducial rays in one eigenspace, by exhaustive clustering."""
-    return len(sector_fiducials(d, zauner, eigenvalue, tries=tries, seed=seed))
-
-
 def _table_invariant_under(table, F, tol):
     d = table.shape[0]
     F = np.asarray(F, dtype=int) % d

@@ -4,9 +4,9 @@ phase laws for the known climbs and the branch-sweeping climb driver.
 The defect of a unit vector is sum_{p != 0} (|<psi|D_p|psi>|^2 - 1/(N+1))^2
 in its own dimension N. For a proto vector the overlaps along the two
 factor subgroups hold identically (the alignment conditions), so the
-search objective may drop them and, optionally, keep only the first few
-remaining terms in lexicographic order (term_budget); the full defect is
-always recomputed for reporting.
+search objective may drop them and, optionally, keep only a fixed sample
+of the remaining terms (term_budget); the full defect is always recomputed
+for reporting.
 """
 import time
 from dataclasses import dataclass, field
@@ -18,20 +18,27 @@ from . import ladder
 from .clifford import canonical_order3, order3_elements
 from .errors import BadPairing, NotASic, SicladderError, WrongCount
 from .fiducials import (SicFiducial, default_symmetry, detect_order3_symmetry,
-                        detect_scalar_symmetry, find_fiducial, overlap_phases,
-                        sector_fiducials, sic_defect, verify_sic)
+                        find_fiducial, overlap_phases, sector_fiducials,
+                        sic_defect, verify_sic)
 from .heisenberg import crt_index, displaced_vector
 from .linalg import phase_fix_columns
 
 
 @dataclass
 class SearchConfig:
+    """Multistart search settings. max_iters and term_budget left at None
+    take the defaults of the family's label order (ROUTE_DEFAULTS)."""
     restarts: int = 20
-    max_iters: int = 20000
+    max_iters: int = None
     target_defect: float = 1e-16
-    simplex_scale: float = 0.0   # 0: let the solver build its own simplex
     seed: int = 0
-    term_budget: int = None      # None: full defect as the objective
+    term_budget: int = None
+
+
+# label order -> (max_iters, term_budget); a term_budget of None searches the
+# full defect. The refined objective is truncated and cheap per step, but its
+# basin is narrow: converging restarts need the longer leash.
+ROUTE_DEFAULTS = {3: (3000, None), 6: (8000, 9)}
 
 
 @dataclass
@@ -99,9 +106,12 @@ def minimize(family, cfg):
     npar = family.n_params
     N = family.d * (family.d - 2)
     kinds = family.param_kinds
-    terms = None
+    max_iters, budget = ROUTE_DEFAULTS[family.f_basis.order]
+    if cfg.max_iters is not None:
+        max_iters = cfg.max_iters
     if cfg.term_budget is not None:
-        terms = _residual_terms(family.d - 2, family.d, cfg.term_budget)
+        budget = cfg.term_budget
+    terms = None if budget is None else _residual_terms(family.d - 2, family.d, budget)
 
     def objective(x):
         psi = ladder.build_proto(family, x)
@@ -113,12 +123,8 @@ def minimize(family, cfg):
     for t in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, t])
         x0 = rng.uniform(0, 2 * np.pi, size=npar)
-        opts = dict(xatol=1e-13, fatol=1e-26, maxiter=cfg.max_iters,
-                    maxfev=2 * cfg.max_iters)
-        if cfg.simplex_scale:
-            simplex = np.vstack([x0] + [x0 + cfg.simplex_scale * e
-                                        for e in np.eye(npar)])
-            opts["initial_simplex"] = simplex
+        opts = dict(xatol=1e-13, fatol=1e-26, maxiter=max_iters,
+                    maxfev=2 * max_iters)
         r = _scipy_minimize(objective, x0, method="Nelder-Mead", options=opts)
         if terms is not None and r.fun <= 1e-20:
             # the truncated objective shares its zero set with the full one
@@ -151,9 +157,8 @@ def minimize(family, cfg):
 
 PHASE_CONSTANT_5 = (-4 - 3j) / 5
 
-# degree-8 minimal-polynomial coefficients for the 7 -> 35 climb, exactly as
-# printed in the source table (the tail reads ambiguously; both the literal
-# and the palindromic interpretation are evaluated)
+# degree-8 minimal-polynomial coefficients for the 7 -> 35 climb, highest
+# degree first; the polynomial is palindromic
 POLY_COEFFS_35 = [4375, -35000, 19222300, 70190980, 102366979,
                   70190980, 19222300, -35000, 4375]
 
@@ -177,18 +182,11 @@ def check_known_phase_5(sigma, tol=1e-8):
 
 
 def check_known_polynomial_35(sigma, tol=1e-6):
-    """Whether t = e^{6 i sigma} is a root of the frozen degree-8 polynomial.
-
-    The printed coefficient list admits two readings of its tail (constant
-    and linear terms); the check passes if either evaluation is below
-    tol * ||coefficients||.
-    """
+    """Whether t = e^{6 i sigma} is a root of the frozen degree-8 polynomial,
+    to within tol * ||coefficients||."""
     t = np.exp(6j * sigma)
-    C = POLY_COEFFS_35
-    literal = sum(c * t ** (8 - k) for k, c in enumerate(C[:-2])) + C[-2] + C[-1]
-    palindromic = sum(c * t ** (8 - k) for k, c in enumerate(C))
-    nrm = float(np.linalg.norm(C))
-    return bool(min(abs(literal), abs(palindromic)) <= tol * nrm)
+    value = sum(c * t ** (8 - k) for k, c in enumerate(POLY_COEFFS_35))
+    return bool(abs(value) <= tol * float(np.linalg.norm(POLY_COEFFS_35)))
 
 
 def equator_geometry_check(solutions, d):
@@ -265,19 +263,46 @@ SECTOR_NAMES = {"1": 0, "w": 1, "w2": 2, "ω": 1, "ω2": 2, "ω²": 2}
 def climb(source, sector="auto", all_generators=False, conjugate=False, cfg=None):
     """Sweep ladder branches from a source SIC and search each family.
 
-    Branches are (small-side order-3 generator, target eigenvalue) pairs.
-    Default: the two generators of the canonical small-side subgroup, each
-    over its feasible targets, stopping at the first branch with solutions.
-    all_generators: every order-3 element of the small modular group, no
-    early stop (the empty-branch census). sector: "auto" tries feasible
-    targets ascending; "1"/"w"/"w2" force one exponent; "all" forces every
-    exponent and also disables the early stop.
+    Branches are (small-side order-3 generator, target exponent) pairs.
+    Labels are order-6 when ladder.refining_involutions says the refined
+    step can be built, and order-3 otherwise; all_generators and conjugate
+    always use order-3 labels. Default: the two generators of the canonical
+    small-side subgroup, each over its feasible targets, stopping at the
+    first branch with solutions. all_generators: every order-3 element of
+    the small modular group, no early stop (the empty-branch census).
+    sector: "auto" tries feasible targets ascending; "1"/"w"/"w2" or an
+    integer (taken mod the label order) force one exponent; "all" forces
+    every exponent and also disables the early stop. A source without a
+    symmetry gets its detected order-3 one.
     """
+    refine = not (all_generators or conjugate)
+    involutions = ladder.refining_involutions(source) if refine else None
+    return _climb(source, sector, all_generators, conjugate, cfg, involutions)
+
+
+def climb_refined(source, sector="auto", cfg=None):
+    """climb on the refined route, raising when it cannot be built.
+
+    Kept as a name of its own because perfbench's worker calls it.
+    """
+    involutions = ladder.refining_involutions(source)
+    if involutions is None:
+        raise SicladderError("the refined step needs -1 a square mod d-2 and a "
+                             "scalar involution symmetry of the source")
+    return _climb(source, sector, False, False, cfg, involutions)
+
+
+def _climb(source, sector, all_generators, conjugate, cfg, involutions):
     if cfg is None:
         cfg = SearchConfig()
     t0 = time.time()
     d = source.d
     n1 = d - 2
+    if source.symmetry is None:
+        det = detect_order3_symmetry(source)
+        if det is None:
+            raise SicladderError("no order-3 symmetry detected on the source")
+        source.symmetry, source.symmetry_eigenvalue = det
     theta = overlap_phases(source)
     P = ladder.generalized_parity(source)
     if all_generators:
@@ -292,12 +317,16 @@ def climb(source, sector="auto", all_generators=False, conjugate=False, cfg=None
     for F in gens:
         if done:
             break
-        e_basis, f_basis = ladder.paired_bases(source, F, P)
+        e_basis, f_basis = ladder.paired_bases(source, F, P, involutions)
         feas = ladder.feasible_targets(f_basis, e_basis)
-        if sector == "auto" or sector == "all":
-            targets = feas if sector == "auto" else [0, 1, 2]
-        else:
+        if sector == "auto":
+            targets = feas
+        elif sector == "all":
+            targets = list(range(f_basis.order))
+        elif str(sector) in SECTOR_NAMES:
             targets = [SECTOR_NAMES[str(sector)]]
+        else:
+            targets = [int(sector) % f_basis.order]
         for t in targets:
             br = BranchOutcome(generator=np.array(F) % n1, target_exponent=t)
             branches.append(br)
@@ -334,76 +363,6 @@ def promote_solution(psi, d, label=""):
     if det is not None:
         f.symmetry, f.symmetry_eigenvalue = det
     return f
-
-
-def climb_refined(source, sector="auto", cfg=None):
-    """Branch sweep for a refined (order-6 label) ladder step.
-
-    Requires the source to carry a scalar involution symmetry besides its
-    order-3 one; the combined labels split the paired bases into smaller
-    blocks (eight parameters from dimension 15 up). Branch handling follows
-    climb with exponents mod 6; sector is "auto", "all", or an exponent.
-    """
-    if cfg is None:
-        cfg = SearchConfig(term_budget=None)
-    t0 = time.time()
-    d = source.d
-    n1 = d - 2
-    if source.symmetry is None:
-        det = detect_order3_symmetry(source)
-        if det is None:
-            raise SicladderError("no order-3 symmetry detected on the source")
-        source.symmetry, source.symmetry_eigenvalue = det
-    scalar = detect_scalar_symmetry(source)
-    if scalar is None:
-        raise SicladderError(
-            "source has no scalar involution symmetry; the refined step needs one")
-    theta = overlap_phases(source)
-    P = ladder.generalized_parity(source)
-    inv_small = ladder.root_of_parity(n1)
-    G = canonical_order3(n1)
-    sweep_all = sector == "all"
-
-    branches = []
-    done = False
-    for F in (G, (G @ G) % n1):
-        if done:
-            break
-        e_basis, f_basis = ladder.paired_bases_refined(source, F, inv_small,
-                                                       scalar, P)
-        feas = ladder.feasible_targets(f_basis, e_basis)
-        if sector == "auto":
-            targets = feas
-        elif sector == "all":
-            targets = list(range(6))
-        elif str(sector) in SECTOR_NAMES:
-            targets = [SECTOR_NAMES[str(sector)]]
-        else:
-            targets = [int(sector) % 6]
-        for t in targets:
-            br = BranchOutcome(generator=np.array(F) % n1, target_exponent=t)
-            branches.append(br)
-            if t not in feas:
-                br.error = "infeasible target: no label pairing"
-                continue
-            br.feasible = True
-            try:
-                fam = ladder.make_proto_family(source, e_basis, f_basis, t)
-            except BadPairing as ex:
-                br.error = str(ex)
-                continue
-            br.n_params = fam.n_params
-            results = minimize(fam, cfg)
-            for res in results:
-                psi = ladder.build_proto(fam, res.params)
-                br.results.append(res)
-                br.vectors.append(psi)
-                br.certificates.append(ladder.verify_alignment(psi, theta))
-            if br.results and not sweep_all:
-                done = True
-                break
-    return ClimbOutcome(source=source, sector=str(sector), branches=branches,
-                        elapsed_s=time.time() - t0)
 
 
 def select_source_by_phase(seed=0, tries=60, restarts=8):

@@ -1,10 +1,9 @@
 """Ten end-to-end checks, one test per numbered criterion.
 
 Each test performs its own timing, asserts every required bound, and prints
-a single summary line. The dimension-195 search (criterion 10) is a stretch
-run: its required parts are asserted when the bounded search converges, and
-a non-convergence is reported loudly instead of hidden. The angle-convention
-comparison for that solution is a separate test that is allowed to fail.
+a single summary line. The dimension-195 search (criterion 10) must
+converge within its bounded budget. The angle-convention comparison for
+that solution is a separate test that is allowed to fail.
 """
 import itertools
 import json
@@ -41,8 +40,9 @@ def c2(f5):
 @pytest.fixture(scope="module")
 def c10(f15):
     t0 = time.time()
-    out = opt.climb_refined(f15, cfg=opt.SearchConfig(
-        restarts=24, max_iters=8000, seed=2, term_budget=9))
+    # the library routes this source to order-6 labels, whose defaults are
+    # 8000 iterations and 9 sampled terms
+    out = opt.climb(f15, cfg=opt.SearchConfig(restarts=24, seed=2))
     return out, time.time() - t0
 
 
@@ -229,13 +229,11 @@ def test_criterion_10_climb_15_to_195(c10):
     out, elapsed = c10
     searched = [b for b in out.branches if b.feasible]
     assert searched and all(b.n_params == 8 for b in searched)
-    if not out.solutions:
-        print("criterion 10: SEARCH DID NOT CONVERGE within the bounded budget "
-              "(stretch run; reported, not required)")
-        return
+    assert out.solutions, "the 15 -> 195 search did not converge"
     res, v = out.solutions[0]
     f195 = opt.promote_solution(v, 195, label="dim195")
     assert res.defect_full <= 1e-10
+    assert all(c.passes for b in out.branches for c in b.certificates)
     assert fid.symmetry_group_order(f195) == 12
     _say(10, f"converged, defect {res.defect_full:.1e}, symmetry order 12, "
              f"{elapsed:.0f}s; angle convention reported separately")

@@ -305,6 +305,17 @@ class TestEmbeddedEtf:
         with pytest.raises(lad.AlignmentRequired):
             lad.embedded_etf(v / np.linalg.norm(v), 5)
 
+    def test_refuses_non_finite_vector(self):
+        with pytest.raises(lad.AlignmentRequired):
+            lad.embedded_etf(np.full(15, np.nan + 0j), 5)
+
+
+@pytest.fixture(scope="module")
+def refined_bases(f15):
+    P = lad.generalized_parity(f15)
+    return lad.paired_bases(f15, canonical_order3(13), P,
+                            lad.refining_involutions(f15))
+
 
 class TestRefinedSplit:
     def test_parity_root_13(self):
@@ -316,38 +327,41 @@ class TestRefinedSplit:
         with pytest.raises(SicladderError):
             lad.root_of_parity(7)
 
-    def test_order6_labels_and_target(self, f15):
-        sc = fid.detect_scalar_symmetry(f15)
-        P = lad.generalized_parity(f15)
-        e_b, f_b = lad.paired_bases_refined(f15, canonical_order3(13),
-                                            lad.root_of_parity(13), sc, P)
+    def test_refining_involutions(self, f5, f15):
+        small, big = lad.refining_involutions(f15)
+        assert small.tolist() == lad.root_of_parity(13).tolist()
+        assert big.tolist() == fid.detect_scalar_symmetry(f15).tolist()
+        assert lad.refining_involutions(f5) is None
+
+    def test_order6_labels_and_target(self, refined_bases):
+        e_b, f_b = refined_bases
         assert e_b.order == 6 and f_b.order == 6
         assert sorted(e_b.labels) == [0, 0, 1, 2, 3, 4, 5]
         assert sorted(f_b.labels) == [0, 0, 1, 2, 3, 4, 5]
         assert lad.feasible_targets(f_b, e_b) == [0]
 
-    def test_refined_family_has_eight_params(self, f15):
+    def test_delegating_name_gives_the_same_bases(self, f15, refined_bases):
         sc = fid.detect_scalar_symmetry(f15)
         P = lad.generalized_parity(f15)
         e_b, f_b = lad.paired_bases_refined(f15, canonical_order3(13),
                                             lad.root_of_parity(13), sc, P)
+        for new, old in zip((e_b, f_b), refined_bases):
+            assert np.array_equal(new.vectors, old.vectors)
+            assert new.labels == old.labels and new.order == old.order
+
+    def test_refined_family_has_eight_params(self, f15, refined_bases):
+        e_b, f_b = refined_bases
         fam = lad.make_proto_family(f15, e_b, f_b, 0)
         assert fam.n_params == 8
 
-    def test_refined_member_is_aligned(self, f15):
-        sc = fid.detect_scalar_symmetry(f15)
-        P = lad.generalized_parity(f15)
-        e_b, f_b = lad.paired_bases_refined(f15, canonical_order3(13),
-                                            lad.root_of_parity(13), sc, P)
+    def test_refined_member_is_aligned(self, f15, refined_bases):
+        e_b, f_b = refined_bases
         fam = lad.make_proto_family(f15, e_b, f_b, 0)
         psi = lad.build_proto(fam, np.random.default_rng(6).uniform(0, 2 * np.pi, 8))
         cert = lad.verify_alignment(psi, fid.overlap_phases(f15), tol=1e-8)
         assert cert.passes
 
-    def test_refined_block_sizes(self, f15):
-        sc = fid.detect_scalar_symmetry(f15)
-        P = lad.generalized_parity(f15)
-        e_b, f_b = lad.paired_bases_refined(f15, canonical_order3(13),
-                                            lad.root_of_parity(13), sc, P)
+    def test_refined_block_sizes(self, f15, refined_bases):
+        e_b, f_b = refined_bases
         fam = lad.make_proto_family(f15, e_b, f_b, 0)
         assert fam.block_sizes == [2, 1, 1, 1, 1, 1]

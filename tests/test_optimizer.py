@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
@@ -157,6 +158,23 @@ class TestClimb35:
     def test_zero_is_not_a_root(self):
         assert not opt.check_known_polynomial_35(0.0)
 
+    def test_next_rung_source_is_not_refinable(self, climb35):
+        # the scalar symmetry is there, but -1 is not a square mod 33
+        f35 = opt.promote_solution(climb35.solutions[0][1], 35)
+        assert fid.detect_scalar_symmetry(f35).tolist() == [[29, 0], [0, 29]]
+        assert lad.refining_involutions(f35) is None
+
+    def test_next_rung_climb_fails_for_the_block_size(self, climb35, tmp_path,
+                                                      capsys):
+        f35 = opt.promote_solution(climb35.solutions[0][1], 35)
+        src = tmp_path / "f35.json"
+        cli.save_json(str(src), cli.fiducial_payload(f35))
+        rc = cli.main(["climb", "--input", str(src), "--restarts", "1",
+                       "--out", str(tmp_path / "c35.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "square root" not in err and "blocks of size 6" in err
+
     def test_alignment_certificates_recorded(self, climb35):
         br = climb35.branches[0]
         assert len(br.certificates) == 3
@@ -200,6 +218,15 @@ class TestClimbDriver:
         b = opt.climb(f5, sector="ω²", cfg=cfg)
         assert [x.target_exponent for x in a.branches] == \
                [x.target_exponent for x in b.branches]
+
+    def test_refined_route_is_chosen_by_the_library(self, f15):
+        out = opt.climb(f15, cfg=opt.SearchConfig(restarts=1, max_iters=40, seed=0))
+        searched = [b for b in out.branches if b.n_params is not None]
+        assert searched and all(b.n_params == 8 for b in searched)
+
+    def test_climb_refined_needs_the_refinement(self, f5):
+        with pytest.raises(SicladderError):
+            opt.climb_refined(f5)
 
     def test_promote_solution_gates_on_sic(self):
         rng = np.random.default_rng(5)
