@@ -37,9 +37,8 @@ from .ladder import (AlignmentCertificate, GeneralizedParity, LabeledBasis,
                      h_conjugate, lift_fiducial, make_proto_family,
                      paired_bases, paired_bases_refined, refining_involutions,
                      root_of_parity, translated_subspaces, verify_alignment)
-from .optimizer import (COS_HALF_ANGLE_195, PHASE_CONSTANT_5, POLY_COEFFS_35,
-                        ClimbOutcome, SearchConfig, SearchResult,
-                        check_known_phase_5, check_known_polynomial_35,
-                        climb, climb_refined, default_source,
-                        equator_geometry_check, minimize, promote_solution,
-                        select_source_by_phase)
+from .optimizer import (PHASE_CONSTANT_5, POLY_COEFFS_35, ClimbOutcome,
+                        SearchConfig, SearchResult, check_known_phase_5,
+                        check_known_polynomial_35, climb, climb_refined,
+                        default_source, equator_geometry_check, minimize,
+                        promote_solution, select_source_by_phase)

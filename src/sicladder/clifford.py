@@ -98,7 +98,7 @@ def _expected_multiplicities(d, order):
 def _scalar_of_power(U, order):
     Up = np.linalg.matrix_power(U, order)
     c = Up[0, 0]
-    if np.abs(Up - c * np.eye(len(U))).max() > 1e-8:
+    if not np.abs(Up - c * np.eye(len(U))).max() <= 1e-8:
         raise NoMatchingPhase("U^order is not a scalar matrix")
     return c
 

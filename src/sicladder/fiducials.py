@@ -214,58 +214,70 @@ def _table_invariant_under(table, F, tol):
     return np.abs(table[fi, fj] - table).max() <= tol
 
 
-def _stabilizer_candidates(table, tol):
-    d = table.shape[0]
-    cols_x = np.argwhere(np.abs(table - table[1, 0]) <= tol)
-    cols_z = np.argwhere(np.abs(table - table[0, 1]) <= tol)
+def _table_maps(src, dst, tol):
+    """Integer matrices F whose columns are positions where dst matches
+    src[1, 0] and src[0, 1] within tol; every index map p -> F p carrying
+    src onto dst is among them, in row-major order of the first column.
+    """
+    cols_x = np.argwhere(np.abs(dst - src[1, 0]) <= tol)
+    cols_z = np.argwhere(np.abs(dst - src[0, 1]) <= tol)
     for px in cols_x:
         for pz in cols_z:
-            F = np.array([[px[0], pz[0]], [px[1], pz[1]]])
-            if (F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]) % d == 1:
-                yield F
+            yield np.array([[px[0], pz[0]], [px[1], pz[1]]])
+
+
+def _table_stabilizers(table, tol):
+    """Determinant-1 matrices leaving the overlap table invariant, identity
+    included: candidates matched at 10 tol, each confirmed at tol."""
+    d = table.shape[0]
+    for F in _table_maps(table, table, tol * 10):
+        det = (F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]) % d
+        if det == 1 and _table_invariant_under(table, F, tol):
+            yield F
+
+
+def _ray_eigenvalue(v, U, tol):
+    """<v|U|v> when U maps the ray of v to itself within tol, else None."""
+    lam = np.vdot(v, U @ v)
+    if abs(abs(lam) - 1) < tol and np.abs(U @ v - lam * v).max() < tol:
+        return lam
+    return None
 
 
 def detect_order3_symmetry(f, tol=1e-7):
     """An order-3 symplectic stabilizing the fiducial, with its eigenvalue.
 
-    Candidates come from matching the overlap table's generator columns, so
-    the scan stays cheap even when d is large; each candidate is confirmed
-    on the whole table and then on the vector itself. None if nothing found.
+    The first order-3 element of the table stabilizer (_table_stabilizers)
+    that also fixes the ray of the vector itself, after phase-fixing its
+    unitary to the standard multiplicity pattern. None if nothing found.
     """
     v, d = _vector_of(f)
     table = overlap_table(v)
     I = np.eye(2, dtype=int)
-    for F in _stabilizer_candidates(table, tol * 10):
-        if np.array_equal(F % d, I) or not np.array_equal((F @ F @ F) % d, I):
+    for F in _table_stabilizers(table, tol):
+        if np.array_equal(F, I) or not np.array_equal((F @ F @ F) % d, I):
             continue
-        if not _table_invariant_under(table, F, tol):
-            continue
-        U = fix_phase_to_table(symplectic_unitary(F, d), 3)
-        lam = np.vdot(v, U @ v)
-        if abs(abs(lam) - 1) < tol and np.abs(U @ v - lam * v).max() < tol:
+        lam = _ray_eigenvalue(v, fix_phase_to_table(symplectic_unitary(F, d), 3), tol)
+        if lam is not None:
             k = int(np.round(np.angle(lam) * 3 / (2 * np.pi))) % 3
-            return F % d, np.exp(2j * np.pi * k / 3)
+            return F, np.exp(2j * np.pi * k / 3)
     return None
 
 
 def detect_scalar_symmetry(f, tol=1e-7):
     """A scalar symplectic b*identity (b^2 = 1, b != +-1 mod d) fixing the ray.
 
-    Scalars act on displacement indices by multiplication, so the overlap
-    table filters candidates cheaply before the vector itself is checked.
-    None if the fiducial has no such symmetry.
+    Scalars are read off the table stabilizer (_table_stabilizers), smallest
+    b first, and the first one whose unitary fixes the ray of the vector is
+    returned. None if the fiducial has no such symmetry.
     """
     v, d = _vector_of(f)
     table = overlap_table(v)
-    for b in range(2, d - 1):
-        if (b * b) % d != 1:
+    for F in _table_stabilizers(table, tol):
+        b = F[0, 0]
+        if F[0, 1] or F[1, 0] or F[1, 1] != b or b in (1, d - 1):
             continue
-        F = np.array([[b, 0], [0, b]])
-        if not _table_invariant_under(table, F, tol):
-            continue
-        U = symplectic_unitary(F, d)
-        lam = np.vdot(v, U @ v)
-        if abs(abs(lam) - 1) < tol and np.abs(U @ v - lam * v).max() < tol:
+        if _ray_eigenvalue(v, symplectic_unitary(F, d), tol) is not None:
             return F
     return None
 
@@ -273,16 +285,8 @@ def detect_scalar_symmetry(f, tol=1e-7):
 def symmetry_group_order(f, tol=1e-7):
     """Order of the symplectic stabilizer of the fiducial's ray.
 
-    Counts determinant-1 matrices leaving the overlap table invariant,
-    identity included; candidate columns are matched by overlap value first.
+    Counts the determinant-1 matrices leaving the overlap table invariant,
+    identity included (_table_stabilizers).
     """
-    v, d = _vector_of(f)
-    table = overlap_table(v)
-    seen = set()
-    for F in _stabilizer_candidates(table, tol * 10):
-        key = tuple((F % d).ravel())
-        if key in seen:
-            continue
-        if _table_invariant_under(table, F, tol):
-            seen.add(key)
-    return len(seen)
+    v, _ = _vector_of(f)
+    return sum(1 for _ in _table_stabilizers(overlap_table(v), tol))

@@ -91,7 +91,7 @@ def covariant_generator(x_blocks, d):
 def _check_blocks_orthonormal(blocks, d, tol=1e-10):
     B = np.column_stack(blocks)
     dev = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
-    if dev > tol:
+    if not dev <= tol:
         raise NotOrthonormal(f"blocks deviate from orthonormality by {dev:.3e}")
     return B
 
@@ -122,7 +122,7 @@ def naimark_complement(x_blocks, d, completion="auto"):
         if full.shape[1] != d:
             raise BadCompletion(f"completion has {full.shape[1] - k} vectors, need {d - k}")
         dev = np.abs(full.conj().T @ full - np.eye(d)).max()
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise BadCompletion(f"completion not an orthonormal extension: {dev:.3e}")
     if len(comp_blocks) != d - k:
         raise BadCompletion(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
@@ -130,7 +130,7 @@ def naimark_complement(x_blocks, d, completion="auto"):
     stacked = np.vstack([covariant_generator(blocks, d).generator,
                          frame.generator]) / np.sqrt(d)
     dev = np.abs(stacked @ stacked.conj().T - np.eye(d * d)).max()
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         raise SicladderError(f"stacked-unitary certificate failed: {dev:.3e}")
     return frame
 

@@ -54,15 +54,21 @@ def tau_powers(d):
     return t
 
 
+def _phase_gather(d, i, j):
+    """(dest, ph) with (D_{i,j} psi)[dest] = ph * psi: dest[s] = s + i and
+    ph[s] = tau^(ij + 2js), taken from tau_powers as given (unreduced i, j)."""
+    t = tau_powers(d)
+    s = np.arange(d)
+    return (s + i) % d, t[(i * j + 2 * j * s) % (2 * d)]
+
+
 @functools.lru_cache(maxsize=4096)
 def displacement(d, i, j):
     """The d x d displacement matrix D_{i,j}. Cached and read-only."""
     _check_dim(d)
-    i, j = i % d, j % d
-    t = tau_powers(d)
+    dest, ph = _phase_gather(d, i % d, j % d)
     M = np.zeros((d, d), dtype=complex)
-    for s in range(d):
-        M[(s + i) % d, s] = t[(i * j + 2 * j * s) % (2 * d)]
+    M[dest, np.arange(d)] = ph
     M.setflags(write=False)
     return M
 
@@ -71,10 +77,7 @@ def displacement(d, i, j):
 def _displacement_gather(d, i, j):
     # keyed on the raw i, j: tau^d = 1, yet t[k + d] and t[k] differ in the
     # last bit, so reducing i or j mod d would change the phase row
-    t = tau_powers(d)
-    s = np.arange(d)
-    dest = (s + i) % d
-    ph = t[(i * j + 2 * j * s) % (2 * d)]
+    dest, ph = _phase_gather(d, i, j)
     dest.setflags(write=False)
     ph.setflags(write=False)
     return dest, ph
@@ -91,13 +94,11 @@ def displaced_vector(psi, i, j):
 def wh_orbit(psi):
     """All d^2 orbit vectors D_p psi, as a (d^2, d) array, p lexicographic in (i, j)."""
     d = len(psi)
-    t = tau_powers(d)
-    r = np.arange(d)
     out = np.empty((d * d, d), dtype=complex)
     for i in range(d):
-        rolled = np.roll(psi, i)  # rolled[r] = psi[r-i]
         for j in range(d):
-            out[i * d + j] = t[(i * j + 2 * j * ((r - i) % d)) % (2 * d)] * rolled
+            dest, ph = _phase_gather(d, i, j)
+            out[i * d + j, dest] = ph * psi
     return out
 
 

@@ -26,7 +26,6 @@ kernels, any rewrite of it must return bit-identical vectors (see the
 heisenberg module docstring): the same products, summed in the same order.
 """
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .clifford import (eigenspace_basis, fix_phase_principal,
 from .errors import (AlignmentRequired, BadPairing, DimensionMismatch,
                      NoMatchingPhase, NotASic, ParamCountMismatch,
                      SicladderError)
-from .fiducials import (OverlapTable, SicFiducial, detect_scalar_symmetry,
+from .fiducials import (SicFiducial, _table_maps, detect_scalar_symmetry,
                         overlap_phases, verify_sic)
 from .frames import FrameSpec
 from .heisenberg import crt_index, crt_to_tensor, displacement
@@ -315,7 +314,6 @@ class ProtoFamily:
     blocks: list              # [(f_indices, e_indices)] sorted by f label
     target_exponent: int
     conjugate: bool = False
-    source_table: OverlapTable = None
 
     @property
     def block_sizes(self):
@@ -384,8 +382,7 @@ def make_proto_family(f, e_basis, f_basis, target_exponent, conjugate=False):
         if sizes != [1, 1, 1]:
             raise BadPairing(f"conjugate pairing needs three singleton blocks, got {sizes}")
     return ProtoFamily(d=f.d, e_basis=e_basis, f_basis=f_basis, blocks=blocks,
-                       target_exponent=target_exponent, conjugate=conjugate,
-                       source_table=overlap_phases(f))
+                       target_exponent=target_exponent, conjugate=conjugate)
 
 
 def _su2(theta, s0, s1):
@@ -447,11 +444,6 @@ def to_tensor(psi, d):
     return crt_to_tensor(np.asarray(psi, dtype=complex), d - 2, d).reshape(d - 2, d)
 
 
-def from_tensor(A):
-    n1, n2 = A.shape
-    return A.ravel()[crt_index(n1, n2)]
-
-
 # ---------------------------------------------------------------------------
 # alignment
 
@@ -473,13 +465,23 @@ def _side_overlaps(M, dim, scale):
     return out
 
 
+def _unit_condition_error(A, d):
+    """Max deviation of (d-1) <Psi| D_q (x) 1 |Psi> from 1 over q != 0,
+    for Psi given as its (d-2) x d tensor A."""
+    small = _side_overlaps((A @ A.conj().T).T, d - 2, d - 1)
+    small[0, 0] = 1.0
+    return float(np.abs(small - 1).max())
+
+
 def verify_alignment(psi, theta_table, tol=1e-8):
     """Alignment certificate of a unit vector against a source overlap table.
 
-    The unit condition is direct. For the phase condition the reindexing
-    matrix M is searched exhaustively over determinant +-1 mod d,
-    lexicographically, against the kappa-twisted index (see module
-    docstring); the first full match is reported.
+    The unit condition is direct. For the phase condition the big-side
+    overlaps at (1, 0) and (0, 1) are matched against the targets
+    -e^{2 i theta} (fiducials._table_maps); since the condition reads
+    M (kappa i, j), the first matched column is scaled by kappa^{-1} mod d.
+    Candidates of determinant +-1 mod d are checked on every p != 0 and the
+    lexicographically smallest full match is reported.
     """
     d = theta_table.d
     n1 = d - 2
@@ -487,10 +489,7 @@ def verify_alignment(psi, theta_table, tol=1e-8):
     if len(psi) != n1 * d:
         raise DimensionMismatch(f"expected a vector of length {n1 * d}")
     A = to_tensor(psi, d)
-
-    small = _side_overlaps((A @ A.conj().T).T, n1, d - 1)
-    small[0, 0] = 1.0
-    err_unit = float(np.abs(small - 1).max())
+    err_unit = _unit_condition_error(A, d)
 
     big = _side_overlaps(A.conj().T @ A, d, d - 1)
     kappa = (d - 1) // 2
@@ -501,17 +500,17 @@ def verify_alignment(psi, theta_table, tol=1e-8):
     mask[0, 0] = False
 
     found, err_phase = None, np.inf
-    for M in itertools.product(range(d), repeat=4):
-        det = (M[0] * M[3] - M[1] * M[2]) % d
+    kappa_inv = pow(kappa, -1, d)
+    for F in _table_maps(big, targets, tol):
+        M = (F * [[kappa_inv, 1]]) % d
+        det = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) % d
         if det != 1 and det != d - 1:
             continue
-        mi = (M[0] * u0 + M[1] * u1) % d
-        mj = (M[2] * u0 + M[3] * u1) % d
+        mi = (M[0, 0] * u0 + M[0, 1] * u1) % d
+        mj = (M[1, 0] * u0 + M[1, 1] * u1) % d
         err = np.abs(big - targets[mi, mj])[mask].max()
-        if err <= tol:
-            found = np.array([[M[0], M[1]], [M[2], M[3]]])
-            err_phase = float(err)
-            break
+        if err <= tol and (found is None or tuple(M.ravel()) < tuple(found.ravel())):
+            found, err_phase = M, float(err)
     return AlignmentCertificate(
         passes=bool(err_unit <= tol and found is not None),
         matrix_M=found,
@@ -529,9 +528,7 @@ def embedded_etf(psi, d, tol=1e-8):
     """
     n1 = d - 2
     A = to_tensor(psi, d)
-    small = _side_overlaps((A @ A.conj().T).T, n1, d - 1)
-    small[0, 0] = 1.0
-    if not np.abs(small - 1).max() <= tol:
+    if not _unit_condition_error(A, d) <= tol:
         raise AlignmentRequired("unit-overlap condition fails; not a proto vector")
     g = crt_index(n1, d)
     cols = np.empty((n1 * d, d * d), dtype=complex)

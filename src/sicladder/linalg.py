@@ -46,7 +46,7 @@ def eig_unitary(A: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     if A.shape != (n, n):
         raise DimensionMismatch(f"square matrix required, got {A.shape}")
     herm_err = np.abs(A @ A.conj().T - np.eye(n)).max()
-    if herm_err > tol:
+    if not herm_err <= tol:
         raise NotUnitary(f"||A A^dag - 1||_max = {herm_err:.3e} > {tol:.1e}")
 
     vals, vecs = np.linalg.eig(A)
@@ -116,7 +116,7 @@ def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = 1e-10) -> list[np.n
         for b in out:
             w -= b * (b.conj() @ w)
         nw = np.linalg.norm(w)
-        if nw < tol:
+        if not nw >= tol:
             raise RankDeficient(f"residual norm {nw:.3e} < {tol:.1e}")
         w /= nw
         for b in out:
@@ -153,7 +153,7 @@ def principal_angles(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         U = np.asarray(U)
         g = U.conj().T @ U
         err = np.abs(g - np.eye(U.shape[1])).max()
-        if err > 1e-8:
+        if not err <= 1e-8:
             raise NotOrthonormal(f"columns not orthonormal, deviation {err:.3e}")
     if U1.shape[1] != U2.shape[1]:
         raise DimensionMismatch("subspaces must have equal dimension")

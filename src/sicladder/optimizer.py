@@ -162,9 +162,6 @@ PHASE_CONSTANT_5 = (-4 - 3j) / 5
 POLY_COEFFS_35 = [4375, -35000, 19222300, 70190980, 102366979,
                   70190980, 19222300, -35000, 4375]
 
-# mixing angle of the two-dimensional block in the 15 -> 195 solution
-COS_HALF_ANGLE_195 = 3 / np.sqrt(13)
-
 
 def check_known_phase_5(sigma, tol=1e-8):
     """Whether e^{3 i sigma} equals the frozen dimension-5 climb constant.

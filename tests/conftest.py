@@ -45,3 +45,9 @@ def climb15(f5):
 @pytest.fixture(scope="session")
 def f15(climb15):
     return opt.promote_solution(climb15.solutions[0][1], 15, label="dim15")
+
+
+@pytest.fixture(scope="session")
+def climb35(f7):
+    return opt.climb(f7, conjugate=True,
+                     cfg=opt.SearchConfig(restarts=8, max_iters=3000, seed=0))

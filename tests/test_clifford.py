@@ -185,6 +185,10 @@ class TestPhaseFix:
         with pytest.raises(NoMatchingPhase):
             cl.fix_phase_to_table(U, 2)
 
+    def test_principal_fix_refuses_non_finite_matrix(self):
+        with pytest.raises(NoMatchingPhase):
+            cl.fix_phase_principal(np.full((3, 3), np.nan + 0j), 3)
+
     def test_principal_fix_gives_unit_power(self):
         U = cl.fix_phase_principal(cl.symplectic_unitary(cl.zauner_matrix_standard(9), 9), 3)
         assert np.abs(np.linalg.matrix_power(U, 3) - np.eye(9)).max() < 1e-8

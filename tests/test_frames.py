@@ -129,6 +129,15 @@ class TestNaimarkComplement:
         with pytest.raises(BadCompletion):
             fr.naimark_complement([basis_vec(3, 0)], 3, completion=[basis_vec(3, 1)])
 
+    def test_refuses_non_finite_block(self):
+        with pytest.raises(NotOrthonormal):
+            fr.naimark_complement([np.full(5, np.nan + 0j)], 5)
+
+    def test_refuses_non_finite_completion(self):
+        with pytest.raises(BadCompletion):
+            fr.naimark_complement([basis_vec(5, 0)], 5,
+                                  completion=[np.full(5, np.nan + 0j)] * 4)
+
     def test_rejects_skew_completion(self):
         v = (basis_vec(3, 0) + basis_vec(3, 1)) / np.sqrt(2)
         with pytest.raises(BadCompletion):

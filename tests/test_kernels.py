@@ -5,17 +5,26 @@ objective into a different restart history, so a kernel rewrite must agree
 with the original to the last bit, not just within a tolerance. The
 original implementations are kept here as oracles.
 """
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder import ladder as lad
+from sicladder import optimizer as opt
 from sicladder.clifford import (canonical_order3, eigenspace_basis,
-                                parity_operator, symplectic_unitary)
+                                fix_phase_to_table, parity_operator,
+                                symplectic_unitary)
 from sicladder.errors import BadPairing
 from sicladder.heisenberg import (crt_index, crt_permutation, crt_to_tensor,
-                                  displaced_vector, tau_powers)
+                                  displaced_vector, displacement,
+                                  overlap_table, tau_powers, wh_orbit)
 from sicladder.linalg import eig_unitary, phase_fix_columns
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def seed_build_proto(family, params):
@@ -175,7 +184,6 @@ def test_to_tensor_is_byte_equal_to_the_permutation_matmul(d):
     V = crt_permutation(d - 2, d)
     A = lad.to_tensor(psi, d)
     assert A.tobytes() == (V @ psi).reshape(d - 2, d).tobytes()
-    assert lad.from_tensor(A).tobytes() == (V.T @ A.ravel()).tobytes()
 
 
 def test_crt_index_realizes_the_permutation():
@@ -186,3 +194,195 @@ def test_crt_index_realizes_the_permutation():
         assert np.array_equal(V.T @ x, x[g])
         assert np.array_equal(V @ x, crt_to_tensor(x, n1, n2))
         assert sorted(g.tolist()) == list(range(n1 * n2))
+
+
+def seed_displacement(d, i, j):
+    i, j = i % d, j % d
+    t = tau_powers(d)
+    M = np.zeros((d, d), dtype=complex)
+    for s in range(d):
+        M[(s + i) % d, s] = t[(i * j + 2 * j * s) % (2 * d)]
+    return M
+
+
+def seed_wh_orbit(psi):
+    d = len(psi)
+    t = tau_powers(d)
+    r = np.arange(d)
+    out = np.empty((d * d, d), dtype=complex)
+    for i in range(d):
+        rolled = np.roll(psi, i)
+        for j in range(d):
+            out[i * d + j] = t[(i * j + 2 * j * ((r - i) % d)) % (2 * d)] * rolled
+    return out
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 13, 15, 35, 63))
+def test_displacement_and_orbit_are_bit_identical(d):
+    for i in range(-d, 2 * d):
+        for j in range(-d, 2 * d):
+            assert np.array_equal(displacement.__wrapped__(d, i, j),
+                                  seed_displacement(d, i, j))
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for v in (psi, psi.real):
+        assert np.array_equal(wh_orbit(v), seed_wh_orbit(v))
+
+
+# -- the overlap-table matcher against the scans it replaced ------------------
+
+
+def seed_stabilizer_candidates(table, tol):
+    d = table.shape[0]
+    cols_x = np.argwhere(np.abs(table - table[1, 0]) <= tol)
+    cols_z = np.argwhere(np.abs(table - table[0, 1]) <= tol)
+    for px in cols_x:
+        for pz in cols_z:
+            F = np.array([[px[0], pz[0]], [px[1], pz[1]]])
+            if (F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]) % d == 1:
+                yield F
+
+
+def seed_detect_order3_symmetry(f, tol=1e-7):
+    v, d = np.asarray(f.vector, dtype=complex), f.d
+    table = overlap_table(v)
+    I = np.eye(2, dtype=int)
+    for F in seed_stabilizer_candidates(table, tol * 10):
+        if np.array_equal(F % d, I) or not np.array_equal((F @ F @ F) % d, I):
+            continue
+        if not fid._table_invariant_under(table, F, tol):
+            continue
+        U = fix_phase_to_table(symplectic_unitary(F, d), 3)
+        lam = np.vdot(v, U @ v)
+        if abs(abs(lam) - 1) < tol and np.abs(U @ v - lam * v).max() < tol:
+            k = int(np.round(np.angle(lam) * 3 / (2 * np.pi))) % 3
+            return F % d, np.exp(2j * np.pi * k / 3)
+    return None
+
+
+def seed_detect_scalar_symmetry(f, tol=1e-7):
+    v, d = np.asarray(f.vector, dtype=complex), f.d
+    table = overlap_table(v)
+    for b in range(2, d - 1):
+        if (b * b) % d != 1:
+            continue
+        F = np.array([[b, 0], [0, b]])
+        if not fid._table_invariant_under(table, F, tol):
+            continue
+        U = symplectic_unitary(F, d)
+        lam = np.vdot(v, U @ v)
+        if abs(abs(lam) - 1) < tol and np.abs(U @ v - lam * v).max() < tol:
+            return F
+    return None
+
+
+def seed_symmetry_group_order(f, tol=1e-7):
+    d = f.d
+    table = overlap_table(np.asarray(f.vector, dtype=complex))
+    seen = set()
+    for F in seed_stabilizer_candidates(table, tol * 10):
+        key = tuple((F % d).ravel())
+        if key in seen:
+            continue
+        if fid._table_invariant_under(table, F, tol):
+            seen.add(key)
+    return len(seen)
+
+
+def seed_verify_alignment(psi, theta_table, tol=1e-8):
+    d = theta_table.d
+    n1 = d - 2
+    A = lad.to_tensor(np.asarray(psi, dtype=complex), d)
+    small = lad._side_overlaps((A @ A.conj().T).T, n1, d - 1)
+    small[0, 0] = 1.0
+    err_unit = float(np.abs(small - 1).max())
+    big = lad._side_overlaps(A.conj().T @ A, d, d - 1)
+    kappa = (d - 1) // 2
+    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    u0, u1 = (kappa * i) % d, j
+    targets = -(theta_table.phases ** 2)
+    mask = np.ones((d, d), dtype=bool)
+    mask[0, 0] = False
+    found, err_phase = None, np.inf
+    for M in itertools.product(range(d), repeat=4):
+        det = (M[0] * M[3] - M[1] * M[2]) % d
+        if det != 1 and det != d - 1:
+            continue
+        mi = (M[0] * u0 + M[1] * u1) % d
+        mj = (M[2] * u0 + M[3] * u1) % d
+        err = np.abs(big - targets[mi, mj])[mask].max()
+        if err <= tol:
+            found = np.array([[M[0], M[1]], [M[2], M[3]]])
+            err_phase = float(err)
+            break
+    return lad.AlignmentCertificate(
+        passes=bool(err_unit <= tol and found is not None), matrix_M=found,
+        max_err_phase_condition=err_phase, max_err_unit_condition=err_unit)
+
+
+def _same_matrix(new, old):
+    if old is None:
+        return new is None
+    return new is not None and new.dtype == old.dtype and np.array_equal(new, old)
+
+
+def _random_unit(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+@pytest.fixture(scope="module")
+def committed_inputs():
+    """(vector, embedded source) of each committed benchmark input."""
+    out = {}
+    for name in ("f15.json", "sic195.json"):
+        _, body, f = cli.load_artifact(str(INPUTS / name))
+        src = body["source"]
+        v = np.array([complex(float(a), float(b)) for a, b in src["vector"]])
+        out[name] = (f, fid.SicFiducial(d=int(src["dimension"]), vector=v))
+    return out
+
+
+@pytest.fixture(scope="module")
+def matcher_cases(f5, f7, f9, f15, climb15, climb35, committed_inputs):
+    """Vectors paired with the source whose table they are aligned against."""
+    f195, f15_committed = committed_inputs["sic195.json"]
+    cases = [(f15, f5), (f195, f15_committed)]
+    cases += [(fid.SicFiducial(d=15, vector=v), f5) for _, v in climb15.solutions]
+    cases += [(fid.SicFiducial(d=35, vector=v), f7) for _, v in climb35.solutions]
+    cases.append(committed_inputs["f15.json"])
+    for n, src in ((15, f5), (35, f7), (63, f9), (195, f15)):
+        cases.append((fid.SicFiducial(d=n, vector=_random_unit(n, n)), src))
+    noisy = f195.vector + 1e-6 * _random_unit(195, 1)
+    cases.append((fid.SicFiducial(d=195, vector=noisy / np.linalg.norm(noisy)),
+                  f15_committed))
+    return cases
+
+
+def test_symmetry_detectors_match_the_seed_scans(f5, f7, f9, climb35, matcher_cases):
+    fids = [f5, f7, f9] + [f for case in matcher_cases for f in case]
+    fids.append(opt.promote_solution(climb35.solutions[0][1], 35))
+    for f in fids:
+        new, old = fid.detect_order3_symmetry(f), seed_detect_order3_symmetry(f)
+        assert (new is None) == (old is None)
+        if old is not None:
+            assert _same_matrix(new[0], old[0]) and new[1] == old[1]
+        assert _same_matrix(fid.detect_scalar_symmetry(f), seed_detect_scalar_symmetry(f))
+        assert fid.symmetry_group_order(f) == seed_symmetry_group_order(f)
+
+
+@pytest.mark.parametrize("tol", (1e-8, 1e-4))
+def test_alignment_matches_the_seed_scan(matcher_cases, tol):
+    passed = 0
+    for f, src in matcher_cases:
+        table = fid.overlap_phases(src)
+        new = lad.verify_alignment(f.vector, table, tol=tol)
+        old = seed_verify_alignment(f.vector, table, tol=tol)
+        assert _same_matrix(new.matrix_M, old.matrix_M)
+        assert new.passes == old.passes
+        for name in ("max_err_phase_condition", "max_err_unit_condition"):
+            assert np.float64(getattr(new, name)).tobytes() == \
+                np.float64(getattr(old, name)).tobytes()
+        passed += new.passes
+    assert passed >= 9

@@ -10,7 +10,7 @@ from sicladder import ladder as lad
 from sicladder.clifford import canonical_order3, symplectic_unitary
 from sicladder.errors import (BadPairing, NotASic, ParamCountMismatch,
                               SicladderError)
-from sicladder.heisenberg import displacement, crt_permutation
+from sicladder.heisenberg import crt_index, crt_permutation, displacement
 
 
 class TestHMatrix:
@@ -200,7 +200,7 @@ class TestProtoFamily:
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
         A = lad.to_tensor(psi, 5)
         assert A.shape == (3, 5)
-        assert np.abs(lad.from_tensor(A) - psi).max() < 1e-12
+        assert np.abs(A.ravel()[crt_index(3, 5)] - psi).max() < 1e-12
 
     def test_zero_phase_member_is_plain_pair_sum(self, fam5):
         psi = lad.build_proto(fam5, [0.0])

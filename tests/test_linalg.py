@@ -60,6 +60,10 @@ class TestEigUnitary:
             first = col[np.nonzero(np.abs(col) > 1e-8)[0][0]]
             assert abs(first.imag) < 1e-10 and first.real > 0
 
+    def test_refuses_non_finite_matrix(self):
+        with pytest.raises(NotUnitary):
+            eig_unitary(np.full((3, 3), np.nan + 0j))
+
 
 class TestGramSchmidt:
     def test_standard_basis_unchanged(self):
@@ -90,6 +94,10 @@ class TestGramSchmidt:
         v = np.array([1, 2j, 0], dtype=complex)
         with pytest.raises(RankDeficient):
             gram_schmidt([v, 2 * v])
+
+    def test_refuses_non_finite_vector(self):
+        with pytest.raises(RankDeficient):
+            gram_schmidt([np.full(3, np.nan + 0j)])
 
 
 class TestPartialTrace:
@@ -157,6 +165,10 @@ class TestPrincipalAngles:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormal):
             principal_angles(np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
+
+    def test_refuses_non_finite_basis(self):
+        with pytest.raises(NotOrthonormal):
+            principal_angles(np.full((2, 1), np.nan), np.array([[1.0], [0.0]]))
 
 
 def test_phase_fix_columns():

@@ -26,12 +26,6 @@ def sols5(fam5_solving):
                         opt.SearchConfig(restarts=20, max_iters=2000, seed=0))
 
 
-@pytest.fixture(scope="module")
-def climb35(f7):
-    return opt.climb(f7, conjugate=True,
-                     cfg=opt.SearchConfig(restarts=8, max_iters=3000, seed=0))
-
-
 class TestResidualTerms:
     def test_exclusions(self):
         for i, j in opt._residual_terms(3, 5, 9):
