@@ -23,9 +23,9 @@ from .clifford import (canonical_order3, crt_glue_symplectic,
                        is_symplectic, order3_elements, parity_matrix,
                        parity_operator, symplectic_order, symplectic_unitary,
                        zauner_matrix_standard)
-from .frames import (EtfCertificate, FrameSpec, check_tight,
-                     covariant_generator, grassmann_equidistance,
-                     naimark_complement, restrict_to_span)
+from .frames import (EtfCertificate, check_tight, covariant_generator,
+                     grassmann_equidistance, naimark_complement,
+                     restrict_to_span)
 from .fiducials import (OverlapTable, SicFiducial, default_symmetry,
                         detect_order3_symmetry, detect_scalar_symmetry,
                         find_fiducial, gauge_normalize, overlap_phases,

@@ -275,8 +275,8 @@ def _verify_one(f, body, levels, prefix=""):
                     f"dimension {f.d} is not of the laddered form d(d-2)")
         else:
             try:
-                frame, rank = ladder.embedded_etf(f.vector, d, tol=PASS_TOL)
-                _, coords = frames.restrict_to_span(frame.generator)
+                cols, rank = ladder.embedded_etf(f.vector, d, tol=PASS_TOL)
+                _, coords = frames.restrict_to_span(cols)
                 cert = frames.check_tight(coords, tol=PASS_TOL)
                 expect = d * (d - 1) // 2
                 rows.append((prefix + "etf-rank", float(abs(rank - expect))))
@@ -381,14 +381,17 @@ def build_parser():
     q = sub.add_parser("fiducial-find", help="search for a SIC fiducial")
     q.add_argument("--dim", type=int, required=True, choices=(5, 7, 9))
     q.add_argument("--seed", type=int, default=_default_seed())
-    q.add_argument("--restarts", type=int, default=40)
+    q.add_argument("--restarts", type=int, default=40,
+                   help="search restarts at --dim 7 and 9; ignored at --dim 5,"
+                        " whose source is picked from a fixed eigenspace census")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_fiducial_find)
 
     q = sub.add_parser("climb", help="search the next ladder dimension from a SIC")
     q.add_argument("--input", required=True)
     q.add_argument("--sector", default="auto",
-                   choices=("auto", "1", "w", "w2", "ω", "ω2", "ω²", "all"))
+                   choices=("auto", "1", "w", "w2", "ω", "ω2", "ω²", "all"),
+                   help="target eigenvalue; the names w/w2 need order-3 labels")
     q.add_argument("--try-both-generators", action="store_true",
                    help="sweep every order-3 generator choice, keeping empty branches")
     q.add_argument("--conjugate-pairing", action="store_true",

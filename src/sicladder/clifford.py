@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BadDimension, EmptyEigenspace, NoMatchingPhase,
                      NotCoprime, NotSymplectic, SicladderError)
-from .heisenberg import displacement, tau_powers
+from .heisenberg import tau_powers
 from .linalg import eig_unitary
 
 

@@ -9,7 +9,7 @@ with all cross overlaps of squared modulus 1/(d+1). The defect
 vanishes exactly at fiducials; searches minimize it inside an eigenspace of
 a phase-fixed order-3 symplectic, where fiducials are known to live.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares

@@ -11,16 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCompletion, DimensionMismatch, NotOrthonormal, SicladderError
-from .heisenberg import displaced_vector
+from .heisenberg import wh_orbit
 from .linalg import eig_unitary, principal_angles
-
-
-@dataclass
-class FrameSpec:
-    ambient_dim: int
-    n_vectors: int
-    generator: np.ndarray  # ambient_dim x n_vectors
-    covariance: tuple = None  # optional (group tag, fiducial blocks)
 
 
 @dataclass
@@ -32,19 +24,15 @@ class EtfCertificate:
     max_deviation: float
 
 
-def _generator_of(frame):
-    return frame.generator if isinstance(frame, FrameSpec) else np.asarray(frame)
-
-
-def check_tight(frame, tol=1e-8):
-    """Tightness and equiangularity certificate for a frame.
+def check_tight(M, tol=1e-8):
+    """Tightness and equiangularity certificate for a frame's generator M.
 
     Columns are normalized before testing, so the certificate describes the
     frame of unit vectors along the column directions; stacked-block
     generators carry norm sqrt(k) columns and are handled transparently.
     For a tight frame the constant is then N/r exactly.
     """
-    M = _generator_of(frame)
+    M = np.asarray(M)
     r, N = M.shape
     norms = np.linalg.norm(M, axis=0)
     if np.min(norms) < 1e-14:
@@ -74,18 +62,9 @@ def covariant_generator(x_blocks, d):
     D_p x_{k-1}; a kd x d^2 matrix. Tight iff the blocks are orthonormal.
     """
     blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
-    k = len(blocks)
-    if k < 1 or any(len(x) != d for x in blocks):
+    if len(blocks) < 1 or any(len(x) != d for x in blocks):
         raise DimensionMismatch(f"blocks must each live in C^{d}")
-    M = np.empty((k * d, d * d), dtype=complex)
-    col = 0
-    for i in range(d):
-        for j in range(d):
-            for r, x in enumerate(blocks):
-                M[r * d:(r + 1) * d, col] = displaced_vector(x, i, j)
-            col += 1
-    return FrameSpec(ambient_dim=k * d, n_vectors=d * d, generator=M,
-                     covariance=("weyl-heisenberg", tuple(blocks)))
+    return wh_orbit(np.array(blocks)).reshape(d * d, -1).T
 
 
 def _check_blocks_orthonormal(blocks, d, tol=1e-10):
@@ -97,7 +76,8 @@ def _check_blocks_orthonormal(blocks, d, tol=1e-10):
 
 
 def naimark_complement(x_blocks, d, completion="auto"):
-    """Frame generated by an orthonormal completion of the given blocks.
+    """Generator of the frame that an orthonormal completion of the given
+    blocks spans.
 
     Stacking the covariant generators of the blocks and of the completion and
     scaling by 1/sqrt(d) forms a d^2 x d^2 unitary; the complement frame is
@@ -126,13 +106,12 @@ def naimark_complement(x_blocks, d, completion="auto"):
             raise BadCompletion(f"completion not an orthonormal extension: {dev:.3e}")
     if len(comp_blocks) != d - k:
         raise BadCompletion(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
-    frame = covariant_generator(comp_blocks, d)
-    stacked = np.vstack([covariant_generator(blocks, d).generator,
-                         frame.generator]) / np.sqrt(d)
+    M = covariant_generator(comp_blocks, d)
+    stacked = np.vstack([covariant_generator(blocks, d), M]) / np.sqrt(d)
     dev = np.abs(stacked @ stacked.conj().T - np.eye(d * d)).max()
     if not dev <= 1e-10:
         raise SicladderError(f"stacked-unitary certificate failed: {dev:.3e}")
-    return frame
+    return M
 
 
 def grassmann_equidistance(subspace_bases, tol=1e-8):
@@ -156,8 +135,7 @@ def grassmann_equidistance(subspace_bases, tol=1e-8):
 
 def restrict_to_span(generator, tol=1e-8):
     """Orthonormal span basis and in-span coordinates of a frame's columns."""
-    M = _generator_of(generator)
-    q, s, _ = np.linalg.svd(M, full_matrices=False)
+    q, s, _ = np.linalg.svd(generator, full_matrices=False)
     keep = s > tol * s[0]
     span = q[:, keep]
-    return span, span.conj().T @ M
+    return span, span.conj().T @ generator

@@ -92,30 +92,46 @@ def displaced_vector(psi, i, j):
 
 
 def wh_orbit(psi):
-    """All d^2 orbit vectors D_p psi, as a (d^2, d) array, p lexicographic in (i, j)."""
-    d = len(psi)
-    out = np.empty((d * d, d), dtype=complex)
+    """All d^2 orbit vectors D_p psi, p lexicographic in (i, j): a (d^2, d)
+    array for one vector, a (d^2, k, d) array for a (k, d) stack of them."""
+    psi = np.asarray(psi)
+    d = psi.shape[-1]
+    out = np.empty((d * d,) + psi.shape, dtype=complex)
     for i in range(d):
         for j in range(d):
             dest, ph = _phase_gather(d, i, j)
-            out[i * d + j, dest] = ph * psi
+            out[i * d + j][..., dest] = ph * psi
     return out
+
+
+def _diagonal_transform(rows):
+    """out[i, j] = tau^(ij) sum_s rows[i][s] omega^(js): one inverse FFT per
+    row i. With rows[i][s] = X[s, s+i] this is tr(D_{i,j} X)."""
+    d = len(rows)
+    t = tau_powers(d)
+    out = np.empty((d, d), dtype=complex)
+    j = np.arange(d)
+    for i, c in enumerate(rows):
+        out[i] = t[(i * j) % (2 * d)] * (np.fft.ifft(c) * d)
+    return out
+
+
+def wh_traces(X):
+    """The trace table tr(D_{i,j} X) of a d x d matrix X, by FFT along its
+    cyclic diagonals. For X = |psi><psi| it is overlap_table(psi)."""
+    d = X.shape[0]
+    s = np.arange(d)
+    return _diagonal_transform(X[s, (s + s[:, None]) % d])
 
 
 def overlap_table(psi):
     """All overlaps <psi|D_{i,j}|psi> as a d x d array, computed by FFT.
 
     <psi|D_{i,j}|psi> = tau^(ij) sum_s conj(psi_{s+i}) psi_s omega^(js),
-    and the s-sum over j is d * ifft of conj(roll(psi, -i)) * psi.
+    the diagonal transform of the rows conj(roll(psi, -i)) * psi.
     """
-    d = len(psi)
-    t = tau_powers(d)
-    out = np.empty((d, d), dtype=complex)
-    j = np.arange(d)
-    for i in range(d):
-        c = np.conj(np.roll(psi, -i)) * psi
-        out[i] = t[(i * j) % (2 * d)] * (np.fft.ifft(c) * d)
-    return out
+    return _diagonal_transform([np.conj(np.roll(psi, -i)) * psi
+                                for i in range(len(psi))])
 
 
 def overlap_table_naive(psi):

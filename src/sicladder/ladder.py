@@ -26,7 +26,7 @@ kernels, any rewrite of it must return bit-identical vectors (see the
 heisenberg module docstring): the same products, summed in the same order.
 """
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,11 @@ from .clifford import (eigenspace_basis, fix_phase_principal,
 from .errors import (AlignmentRequired, BadPairing, DimensionMismatch,
                      NoMatchingPhase, NotASic, ParamCountMismatch,
                      SicladderError)
-from .fiducials import (SicFiducial, _table_maps, detect_scalar_symmetry,
-                        overlap_phases, verify_sic)
-from .frames import FrameSpec
-from .heisenberg import crt_index, crt_to_tensor, displacement
+from .fiducials import (_table_maps, detect_scalar_symmetry, overlap_phases,
+                        verify_sic)
+from .frames import covariant_generator
+from .heisenberg import (_phase_gather, crt_index, crt_to_tensor, wh_orbit,
+                         wh_traces)
 from .linalg import eig_unitary, phase_fix_columns
 
 
@@ -138,9 +139,11 @@ def generalized_parity(f):
     table = overlap_phases(f)
     h = (d + 1) // 2
     P = np.zeros((d, d), dtype=complex)
+    s = np.arange(d)
     for i in range(d):
         for j in range(d):
-            P += (table.phases[i, (h * j) % d] ** 2) * displacement(d, -i, -j)
+            dest, ph = _phase_gather(d, -i % d, -j % d)
+            P[dest, s] += (table.phases[i, (h * j) % d] ** 2) * ph
     P /= d
     lift = lift_fiducial(f)
     B = np.column_stack(lift.blocks)
@@ -456,19 +459,10 @@ class AlignmentCertificate:
     max_err_unit_condition: float = np.inf   # the identically-1 overlaps
 
 
-def _side_overlaps(M, dim, scale):
-    """scale * sum(D_p * M) for every p of Z_dim^2."""
-    out = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = scale * np.sum(displacement(dim, i, j) * M)
-    return out
-
-
 def _unit_condition_error(A, d):
     """Max deviation of (d-1) <Psi| D_q (x) 1 |Psi> from 1 over q != 0,
     for Psi given as its (d-2) x d tensor A."""
-    small = _side_overlaps((A @ A.conj().T).T, d - 2, d - 1)
+    small = (d - 1) * wh_traces(A @ A.conj().T)
     small[0, 0] = 1.0
     return float(np.abs(small - 1).max())
 
@@ -491,7 +485,7 @@ def verify_alignment(psi, theta_table, tol=1e-8):
     A = to_tensor(psi, d)
     err_unit = _unit_condition_error(A, d)
 
-    big = _side_overlaps(A.conj().T @ A, d, d - 1)
+    big = (d - 1) * wh_traces(A.T @ A.conj())
     kappa = (d - 1) // 2
     i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     u0, u1 = (kappa * i) % d, j
@@ -521,40 +515,29 @@ def verify_alignment(psi, theta_table, tol=1e-8):
 def embedded_etf(psi, d, tol=1e-8):
     """Orbit of the big-side displacements through psi, with its span rank.
 
-    The d^2 columns (1 (x) D_p) psi span d(d-1)/2 dimensions for aligned
-    vectors and restrict to an equiangular tight frame there with squared
-    overlap 1/(d-1)^2. Requires the unit condition to hold (the cheap
-    alignment gate computable from psi alone).
+    Returns (cols, rank): the d^2 columns (1 (x) D_p) psi, in global
+    indexing, span d(d-1)/2 dimensions for aligned vectors and restrict to
+    an equiangular tight frame there with squared overlap 1/(d-1)^2.
+    Requires the unit condition to hold (the cheap alignment gate
+    computable from psi alone).
     """
     n1 = d - 2
     A = to_tensor(psi, d)
     if not _unit_condition_error(A, d) <= tol:
         raise AlignmentRequired("unit-overlap condition fails; not a proto vector")
-    g = crt_index(n1, d)
-    cols = np.empty((n1 * d, d * d), dtype=complex)
-    c = 0
-    for i in range(d):
-        for j in range(d):
-            cols[:, c] = (A @ displacement(d, i, j).T).ravel()[g]
-            c += 1
+    cols = covariant_generator(A, d)[crt_index(n1, d)]
     s = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(s > 1e-8 * s[0]))
-    frame = FrameSpec(ambient_dim=n1 * d, n_vectors=d * d, generator=cols,
-                      covariance=("big-side displacements", None))
-    return frame, rank
+    return cols, int(np.sum(s > 1e-8 * s[0]))
 
 
 def translated_subspaces(psi, d):
     """Spans of (D_q (x) 1) . orbit-span for all q, as orthonormal bases."""
     n1 = d - 2
-    frame, _ = embedded_etf(psi, d)
-    q, s, _ = np.linalg.svd(frame.generator, full_matrices=False)
+    cols, _ = embedded_etf(psi, d)
+    q, s, _ = np.linalg.svd(cols, full_matrices=False)
     span = q[:, s > 1e-8 * s[0]]
+    r = span.shape[1]
+    # D_q acts on the slow tensor index: orbit the span's (d r) columns in C^{n1}
+    orbit = wh_orbit(crt_to_tensor(span, n1, d).reshape(n1, d * r).T)
     g = crt_index(n1, d)
-    tensor_span = crt_to_tensor(span, n1, d)
-    out = []
-    for a in range(n1):
-        for b in range(n1):
-            DD = np.kron(displacement(n1, a, b), np.eye(d))
-            out.append((DD @ tensor_span)[g])
-    return out
+    return [Y.T.reshape(n1 * d, r)[g] for Y in orbit]

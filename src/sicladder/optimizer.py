@@ -21,7 +21,6 @@ from .fiducials import (SicFiducial, default_symmetry, detect_order3_symmetry,
                         find_fiducial, overlap_phases, sector_fiducials,
                         sic_defect, verify_sic)
 from .heisenberg import crt_index, displaced_vector
-from .linalg import phase_fix_columns
 
 
 @dataclass
@@ -269,8 +268,9 @@ def climb(source, sector="auto", all_generators=False, conjugate=False, cfg=None
     the small modular group, no early stop (the empty-branch census).
     sector: "auto" tries feasible targets ascending; "1"/"w"/"w2" or an
     integer (taken mod the label order) force one exponent; "all" forces
-    every exponent and also disables the early stop. A source without a
-    symmetry gets its detected order-3 one.
+    every exponent and also disables the early stop. The names "w"/"w2"
+    are third roots and raise SicladderError on order-6 labels. A source
+    without a symmetry gets its detected order-3 one.
     """
     refine = not (all_generators or conjugate)
     involutions = ladder.refining_involutions(source) if refine else None
@@ -290,6 +290,10 @@ def climb_refined(source, sector="auto", cfg=None):
 
 
 def _climb(source, sector, all_generators, conjugate, cfg, involutions):
+    if involutions is not None and SECTOR_NAMES.get(str(sector), 0) != 0:
+        raise SicladderError(
+            f"sector {sector!r} names a third root of unity, and this step's "
+            "labels are sixth-root exponents")
     if cfg is None:
         cfg = SearchConfig()
     t0 = time.time()

@@ -191,6 +191,14 @@ class TestClimb:
         assert all(b["outcome"] == "not searched" for b in body["branches"])
         assert all("infeasible" in b["error"] for b in body["branches"])
 
+    def test_third_root_sector_on_order6_labels_exits_one(self, tmp_path, capsys):
+        f15 = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "f15.json"
+        rc = cli.main(["climb", "--input", str(f15), "--sector", "w",
+                       "--restarts", "1", "--max-iters", "40",
+                       "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "sixth-root" in capsys.readouterr().err
+
     def test_non_sic_input_exits_one(self, tmp_path):
         p = _random_fiducial_file(tmp_path / "rand.json")
         rc = cli.main(["climb", "--input", p, "--out", str(tmp_path / "o.json")])

@@ -1,5 +1,10 @@
 """Overlap tables, the defect functional, verification, and fiducial search."""
 import itertools
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from sicladder.errors import BadDimension, NotASic, SearchFailed
 from sicladder.heisenberg import displacement
 
 W3 = np.exp(2j * np.pi / 3)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_defect(v, d):
@@ -148,6 +154,34 @@ class TestGaugeNormalize:
         assert np.abs(fid.gauge_normalize(g) - g).max() < 1e-14
 
 
+LM_HEAP_FAULT = (
+    "least_squares(method='lm') takes a different step for identical inputs "
+    "depending on heap state. Across two heaps (MALLOC_PERTURB_ unset and 85) "
+    "the residuals are bit-equal for equal inputs (80 of 80 shared "
+    "evaluations agreed) and the LM inputs first differ after evaluation 80. "
+    "scipy's _minpack links no BLAS, only libc math, so the step inside "
+    "scipy 1.17.1's _lmder depends on heap contents, which is consistent "
+    "with a read of uninitialized memory")
+
+_CHILD_SEARCH = ("import hashlib; from sicladder.fiducials import find_fiducial; "
+                 "print(hashlib.sha256(find_fiducial(9, seed=0).vector.tobytes())"
+                 ".hexdigest())")
+
+
+def _child_digest(perturb):
+    """sha256 of find_fiducial(9, seed=0) from a fresh interpreter, with glibc's
+    MALLOC_PERTURB_ set to the given byte (or unset for None) in its
+    environment only."""
+    env = {k: v for k, v in os.environ.items() if k != "MALLOC_PERTURB_"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if perturb is not None:
+        env["MALLOC_PERTURB_"] = str(perturb)
+    out = subprocess.run([sys.executable, "-c", _CHILD_SEARCH], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 class TestSearch:
     def test_eigenspace_dimensions(self):
         assert fid.symmetry_eigenspace(5, zauner_matrix_standard(5), W3).shape == (5, 2)
@@ -166,11 +200,7 @@ class TestSearch:
     # evaluations on the same ray. With diff_step=sqrt(eps) four starts
     # repeated over 30 churned calls each; with the default, one start
     # differed in 13 of 30. That step would move every source's bits.
-    @pytest.mark.xfail(strict=False,
-                       reason="least_squares(method='lm') takes a different "
-                              "step for identical inputs depending on heap "
-                              "state, so repeated searches in one process can "
-                              "disagree bitwise")
+    @pytest.mark.xfail(strict=False, reason=LM_HEAP_FAULT)
     def test_search_is_bitwise_reproducible_within_a_process(self):
         ref = fid.find_fiducial(9, seed=0).vector
         keep = []
@@ -180,6 +210,16 @@ class TestSearch:
             keep = keep[-3:] + [[np.empty(int(n)) for n in rng.integers(1, 5000, 50)]]
             assert np.array_equal(fid.find_fiducial(9, seed=0).vector, ref), \
                 f"call {k + 1} after the first returned different bits"
+
+    # Deterministic form of the fault above: glibc fills new and freed heap
+    # memory from the perturb byte, and the two children return different
+    # vectors (9f865bd1... unset, 48a4a326... at 85), stable over repeats.
+    # raises= keeps a crashed child from passing as the expected failure.
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="MALLOC_PERTURB_ is a glibc malloc setting")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=LM_HEAP_FAULT)
+    def test_search_is_bitwise_reproducible_across_heaps(self):
+        assert _child_digest(None) == _child_digest(85)
 
     def test_search_result_is_symmetric_eigenvector(self, f5):
         U = fid.fix_phase_to_table(fid.symplectic_unitary(f5.symmetry, 5), 3)

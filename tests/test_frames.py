@@ -21,8 +21,7 @@ class TestCheckTight:
         assert cert.common_overlap_sq < 1e-12
 
     def test_sic_orbit_is_equiangular_tight(self, f15):
-        frame = fr.covariant_generator([f15.vector], 15)
-        cert = fr.check_tight(frame)
+        cert = fr.check_tight(fr.covariant_generator([f15.vector], 15))
         assert cert.is_tight and cert.is_equiangular
         assert abs(cert.tight_constant - 15.0) < 1e-8
         assert abs(cert.common_overlap_sq - 1.0 / 16) < 1e-8
@@ -30,7 +29,7 @@ class TestCheckTight:
     def test_complement_of_lift_is_etf(self, f5):
         blocks = lad.lift_fiducial(f5).blocks
         comp = fr.naimark_complement(blocks, 5)
-        assert comp.generator.shape == (10, 25)
+        assert comp.shape == (10, 25)
         cert = fr.check_tight(comp)
         assert cert.is_tight and cert.is_equiangular
         # (N - r)/(r (N - 1)) at r=10, N=25
@@ -44,7 +43,7 @@ class TestCheckTight:
     def test_tight_constant_is_resolution_weight(self, f5):
         # sum of unit-column projectors = (N/r) identity for a tight frame
         blocks = lad.lift_fiducial(f5).blocks
-        M = fr.covariant_generator(blocks, 5).generator
+        M = fr.covariant_generator(blocks, 5)
         M = M / np.linalg.norm(M, axis=0)
         r, N = M.shape
         assert np.abs(M @ M.conj().T - (N / r) * np.eye(r)).max() < 1e-10
@@ -52,19 +51,19 @@ class TestCheckTight:
 
 class TestCovariantGenerator:
     def test_orbit_of_basis_vector(self):
-        frame = fr.covariant_generator([basis_vec(3, 0)], 3)
-        assert frame.generator.shape == (3, 9)
+        M = fr.covariant_generator([basis_vec(3, 0)], 3)
+        assert M.shape == (3, 9)
         tau = -np.exp(1j * np.pi / 3)
         for i in range(3):
             for j in range(3):
-                col = frame.generator[:, 3 * i + j]
+                col = M[:, 3 * i + j]
                 assert np.sum(np.abs(col) > 1e-12) == 1
                 assert abs(col[i] - tau ** (i * j)) < 1e-12
 
     def test_lifted_blocks_give_tight_frame(self, f5):
-        frame = fr.covariant_generator(lad.lift_fiducial(f5).blocks, 5)
-        assert frame.generator.shape == (15, 25)
-        assert fr.check_tight(frame).is_tight
+        M = fr.covariant_generator(lad.lift_fiducial(f5).blocks, 5)
+        assert M.shape == (15, 25)
+        assert fr.check_tight(M).is_tight
 
     def test_wrong_block_length(self):
         with pytest.raises(DimensionMismatch):
@@ -91,16 +90,16 @@ class TestTightnessBlockEquivalence:
 class TestNaimarkComplement:
     def test_basis_blocks_complement_is_leftover_orbit(self):
         comp = fr.naimark_complement([basis_vec(3, 0), basis_vec(3, 1)], 3)
-        assert comp.generator.shape == (3, 9)
+        assert comp.shape == (3, 9)
         # the automatic completion of {e0, e1} is e2 itself
-        assert np.abs(comp.generator[:, 0] - basis_vec(3, 2)).max() < 1e-10
+        assert np.abs(comp[:, 0] - basis_vec(3, 2)).max() < 1e-10
         cert = fr.check_tight(comp)
         assert cert.is_tight and not cert.is_equiangular
 
     def test_gram_duality(self, f5):
         blocks = lad.lift_fiducial(f5).blocks
-        orig = fr.covariant_generator(blocks, 5).generator
-        comp = fr.naimark_complement(blocks, 5).generator
+        orig = fr.covariant_generator(blocks, 5)
+        comp = fr.naimark_complement(blocks, 5)
         G = orig.conj().T @ orig + comp.conj().T @ comp
         assert np.abs(G - 5.0 * np.eye(25)).max() < 1e-10
 
@@ -116,8 +115,8 @@ class TestNaimarkComplement:
         auto = fr.naimark_complement(blocks, 5)
         assert fr.check_tight(manual).is_tight
         # complement Gram matrix is completion-independent
-        Ga = auto.generator.conj().T @ auto.generator
-        Gm = manual.generator.conj().T @ manual.generator
+        Ga = auto.conj().T @ auto
+        Gm = manual.conj().T @ manual
         assert np.abs(Ga - Gm).max() < 1e-10
 
     def test_rejects_non_orthonormal_blocks(self):

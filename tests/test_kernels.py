@@ -13,15 +13,17 @@ import pytest
 
 from sicladder import cli
 from sicladder import fiducials as fid
+from sicladder import frames as fr
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import (canonical_order3, eigenspace_basis,
                                 fix_phase_to_table, parity_operator,
                                 symplectic_unitary)
-from sicladder.errors import BadPairing
+from sicladder.errors import AlignmentRequired, BadPairing
 from sicladder.heisenberg import (crt_index, crt_permutation, crt_to_tensor,
                                   displaced_vector, displacement,
-                                  overlap_table, tau_powers, wh_orbit)
+                                  overlap_table, tau_powers, wh_orbit,
+                                  wh_traces)
 from sicladder.linalg import eig_unitary, phase_fix_columns
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -291,12 +293,11 @@ def seed_symmetry_group_order(f, tol=1e-7):
 
 def seed_verify_alignment(psi, theta_table, tol=1e-8):
     d = theta_table.d
-    n1 = d - 2
     A = lad.to_tensor(np.asarray(psi, dtype=complex), d)
-    small = lad._side_overlaps((A @ A.conj().T).T, n1, d - 1)
-    small[0, 0] = 1.0
-    err_unit = float(np.abs(small - 1).max())
-    big = lad._side_overlaps(A.conj().T @ A, d, d - 1)
+    # the side overlaps as the library computes them: this oracle checks
+    # the matcher, test_side_overlaps_match_the_dense_sums the overlaps
+    err_unit = lad._unit_condition_error(A, d)
+    big = (d - 1) * wh_traces(A.T @ A.conj())
     kappa = (d - 1) // 2
     i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     u0, u1 = (kappa * i) % d, j
@@ -386,3 +387,131 @@ def test_alignment_matches_the_seed_scan(matcher_cases, tol):
                 np.float64(getattr(old, name)).tobytes()
         passed += new.passes
     assert passed >= 9
+
+
+# -- the two Weyl-Heisenberg kernels against the dense loops they replaced ----
+
+
+def seed_side_overlaps(M, dim, scale):
+    out = np.empty((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            out[i, j] = scale * np.sum(displacement(dim, i, j) * M)
+    return out
+
+
+def seed_unit_condition_error(A, d):
+    small = seed_side_overlaps((A @ A.conj().T).T, d - 2, d - 1)
+    small[0, 0] = 1.0
+    return float(np.abs(small - 1).max())
+
+
+def seed_parity_matrix(f):
+    d = f.d
+    table = fid.overlap_phases(f)
+    h = (d + 1) // 2
+    P = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            P += (table.phases[i, (h * j) % d] ** 2) * displacement(d, -i, -j)
+    P /= d
+    return P
+
+
+def seed_overlap_table(psi):
+    d = len(psi)
+    t = tau_powers(d)
+    out = np.empty((d, d), dtype=complex)
+    j = np.arange(d)
+    for i in range(d):
+        c = np.conj(np.roll(psi, -i)) * psi
+        out[i] = t[(i * j) % (2 * d)] * (np.fft.ifft(c) * d)
+    return out
+
+
+def seed_covariant_generator(blocks, d):
+    M = np.empty((len(blocks) * d, d * d), dtype=complex)
+    col = 0
+    for i in range(d):
+        for j in range(d):
+            for r, x in enumerate(blocks):
+                M[r * d:(r + 1) * d, col] = displaced_vector(x, i, j)
+            col += 1
+    return M
+
+
+def seed_embedded_etf(psi, d, tol=1e-8):
+    n1 = d - 2
+    A = lad.to_tensor(psi, d)
+    if not seed_unit_condition_error(A, d) <= tol:
+        raise AlignmentRequired("unit-overlap condition fails")
+    g = crt_index(n1, d)
+    cols = np.empty((n1 * d, d * d), dtype=complex)
+    c = 0
+    for i in range(d):
+        for j in range(d):
+            cols[:, c] = (A @ displacement(d, i, j).T).ravel()[g]
+            c += 1
+    s = np.linalg.svd(cols, compute_uv=False)
+    return cols, int(np.sum(s > 1e-8 * s[0]))
+
+
+def test_generalized_parity_is_bit_identical(f5, f7, f9, f15, committed_inputs):
+    for f in (f5, f7, f9, f15, committed_inputs["f15.json"][0]):
+        assert np.array_equal(lad.generalized_parity(f).matrix, seed_parity_matrix(f))
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 13, 15, 35, 63, 195))
+def test_overlap_table_is_bit_identical(d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        assert np.array_equal(overlap_table(psi), seed_overlap_table(psi))
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 13, 15, 35))
+def test_stacked_orbit_and_covariant_generator_are_bit_identical(d):
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    for V in (X, X.real):
+        assert np.array_equal(wh_orbit(V), np.stack([seed_wh_orbit(v) for v in V], axis=1))
+        assert np.array_equal(wh_orbit(V[0]), seed_wh_orbit(V[0]))
+    for k in (1, 3):
+        blocks = list(X[:k])
+        assert np.array_equal(fr.covariant_generator(blocks, d),
+                              seed_covariant_generator(blocks, d))
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 13, 15, 35))
+def test_wh_traces_match_the_dense_sums(d):
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    # tr(D_p X) = sum(D_p * X^T)
+    err = np.abs(wh_traces(X) - seed_side_overlaps(X.T, d, 1)).max()
+    assert err <= 1e-12 * np.abs(X).sum()
+
+
+def test_side_overlaps_match_the_dense_sums(matcher_cases):
+    for f, src in matcher_cases:
+        d = src.d
+        A = lad.to_tensor(f.vector, d)
+        assert abs(lad._unit_condition_error(A, d) - seed_unit_condition_error(A, d)) <= 1e-13
+        big = seed_side_overlaps(A.conj().T @ A, d, d - 1)
+        assert np.abs((d - 1) * wh_traces(A.T @ A.conj()) - big).max() <= 1e-13
+
+
+def test_embedded_etf_matches_the_dense_columns(matcher_cases):
+    aligned = 0
+    for f, src in matcher_cases:
+        d = src.d
+        try:
+            old = seed_embedded_etf(f.vector, d)
+        except AlignmentRequired:
+            with pytest.raises(AlignmentRequired):
+                lad.embedded_etf(f.vector, d)
+            continue
+        cols, rank = lad.embedded_etf(f.vector, d)
+        assert rank == old[1] == d * (d - 1) // 2
+        assert np.abs(cols - old[0]).max() <= 1e-14
+        aligned += 1
+    assert aligned >= 9

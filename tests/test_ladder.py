@@ -284,9 +284,9 @@ class TestAlignment:
 class TestEmbeddedEtf:
     def test_rank_and_overlap_d5(self, f15):
         from sicladder import frames as fr
-        frame, rank = lad.embedded_etf(f15.vector, 5)
+        cols, rank = lad.embedded_etf(f15.vector, 5)
         assert rank == 10
-        _, coords = fr.restrict_to_span(frame.generator)
+        _, coords = fr.restrict_to_span(cols)
         cert = fr.check_tight(coords[:, :])
         assert cert.is_tight and cert.is_equiangular
         assert abs(cert.common_overlap_sq - 1.0 / 16) < 1e-8

@@ -1,4 +1,6 @@
 """Search behavior and the frozen phase laws of the known climbs."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import canonical_order3
 from sicladder.errors import NotASic, SicladderError, WrongCount
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +209,14 @@ class TestClimbDriver:
         assert len(feas) == 2
         assert len(feas[0].results) == 0 and len(feas[1].results) == 3
         assert all(c.passes for c in feas[1].certificates)
+
+    def test_third_root_name_on_order6_labels_raises(self):
+        # the committed 15 source takes the refined step; "w" would force
+        # sixth-root exponent 1, which is e^{i pi/3}, not omega
+        _, _, f15 = cli.load_artifact(str(INPUTS / "f15.json"))
+        with pytest.raises(SicladderError, match="sixth-root"):
+            opt.climb(f15, sector="w",
+                      cfg=opt.SearchConfig(restarts=1, max_iters=40))
 
     def test_sector_aliases(self, f5):
         cfg = opt.SearchConfig(restarts=2, max_iters=800, seed=0)
