@@ -235,7 +235,7 @@ def crt_split_symplectic(F, n1, n2):
     B = np.kron(symplectic_unitary(F1, n1), symplectic_unitary(F2, n2))
     k = np.unravel_index(np.argmax(np.abs(B)), B.shape)
     err = np.abs(A - (A[k] / B[k]) * B).max()
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise SicladderError(f"tensor split certificate failed: {err:.3e}")
     return F1, F2
 

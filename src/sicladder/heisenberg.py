@@ -22,9 +22,15 @@ Kernel rewrites must return bit-identical arrays, not merely close ones:
 the searches are Nelder-Mead runs, which turn a one-ulp change in the
 objective into a different restart history. Keep the arithmetic operation
 for operation (same products, same summation order) and check new code
-against the old with np.array_equal. One pitfall: numpy multiplies in place
+against the old with np.array_equal. Pitfalls: numpy multiplies in place
 into a large temporary (over 256 KiB), so `a * (b * c)` can round
-differently from the same product on a named array.
+differently from the same product on a named array; np.abs over an array
+(SIMD hypot) differs from scalar abs in about a third of random complex
+values, so absolute values in the searches stay scalar; and a reduction
+over an F-contiguous array sums in another order (see the ladder module).
+The gather tables of displaced_vector are cached on the raw (i, j): tau^d
+= 1, yet t[k + d] and t[k] differ in the last bit, so reducing i or j mod d
+would change the phase row.
 """
 import functools
 
@@ -74,21 +80,24 @@ def displacement(d, i, j):
 
 
 @functools.lru_cache(maxsize=1024)
-def _displacement_gather(d, i, j):
-    # keyed on the raw i, j: tau^d = 1, yet t[k + d] and t[k] differ in the
-    # last bit, so reducing i or j mod d would change the phase row
-    dest, ph = _phase_gather(d, i, j)
-    dest.setflags(write=False)
+def _displacement_gather(d, pairs):
+    """(src, ph), each (k, d), with (D_p psi)[r] = ph[r] * psi[src[r]] for
+    the k pairs p = (i, j). Keyed on the raw pairs: see the module docstring."""
+    src = np.array([(np.arange(d) - i) % d for i, _ in pairs])
+    ph = np.array([_phase_gather(d, i, j)[1][r] for (i, j), r in zip(pairs, src)])
+    src.setflags(write=False)
     ph.setflags(write=False)
-    return dest, ph
+    return src, ph
 
 
-def displaced_vector(psi, i, j):
-    """D_{i,j} psi without forming the matrix."""
-    dest, ph = _displacement_gather(len(psi), i, j)
-    out = np.zeros(len(psi), dtype=complex)
-    out[dest] = ph * psi
-    return out
+def displaced_vector(psi, i, j=None):
+    """D_{i,j} psi without forming the matrix. Given a tuple of (i, j)
+    pairs in place of i and no j, the (k, d) stack of D_p psi over them."""
+    pairs = i if j is None else ((i, j),)
+    src, ph = _displacement_gather(len(psi), pairs)
+    moved = psi[src]   # named, so the product is not done in place
+    out = ph * moved
+    return out if j is None else out[0]
 
 
 def wh_orbit(psi):

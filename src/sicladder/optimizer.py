@@ -8,6 +8,7 @@ search objective may drop them and, optionally, keep only a fixed sample
 of the remaining terms (term_budget); the full defect is always recomputed
 for reporting.
 """
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,7 @@ class SearchResult:
     seed_used: int    # restart index within the config's seed stream
 
 
+@functools.lru_cache(maxsize=16)
 def _residual_terms(n1, n2, budget):
     """A spread of `budget` index pairs outside the two factor subgroups.
 
@@ -64,17 +66,19 @@ def _residual_terms(n1, n2, budget):
                and not (i % n1 == 0 and j % n1 == 0)
                and not (i % n2 == 0 and j % n2 == 0)]
     if budget >= len(allowed):
-        return allowed
+        return tuple(allowed)
     rng = np.random.default_rng([n1, n2, budget])
     pick = rng.choice(len(allowed), size=budget, replace=False)
-    return [allowed[k] for k in sorted(pick)]
+    return tuple(allowed[k] for k in sorted(pick))
 
 
 def _partial_defect(psi, terms, N):
+    """The defect over the given tuple of index pairs: one stacked
+    displacement, then one dot product per row (a matrix-vector product
+    would sum in another order) and the tail on Python scalars."""
     tgt = 1.0 / (N + 1)
     tot = 0.0
-    for i, j in terms:
-        ov = np.vdot(psi, displaced_vector(psi, i, j))
+    for ov in np.array([np.vdot(psi, row) for row in displaced_vector(psi, terms)]).tolist():
         tot += (abs(ov) ** 2 - tgt) ** 2
     return tot
 
@@ -290,7 +294,8 @@ def climb_refined(source, sector="auto", cfg=None):
 
 
 def _climb(source, sector, all_generators, conjugate, cfg, involutions):
-    if involutions is not None and SECTOR_NAMES.get(str(sector), 0) != 0:
+    named = isinstance(sector, str) and sector in SECTOR_NAMES
+    if involutions is not None and named and SECTOR_NAMES[sector] != 0:
         raise SicladderError(
             f"sector {sector!r} names a third root of unity, and this step's "
             "labels are sixth-root exponents")
@@ -324,8 +329,8 @@ def _climb(source, sector, all_generators, conjugate, cfg, involutions):
             targets = feas
         elif sector == "all":
             targets = list(range(f_basis.order))
-        elif str(sector) in SECTOR_NAMES:
-            targets = [SECTOR_NAMES[str(sector)]]
+        elif named:
+            targets = [SECTOR_NAMES[sector]]
         else:
             targets = [int(sector) % f_basis.order]
         for t in targets:

@@ -49,6 +49,17 @@ def test_traced_names_are_distinct_module_functions(spans):
         seen.add(fn)
 
 
+def test_by_name_bindings_are_traced_functions(spans):
+    # the wrappers catch calls through these imports only while each name
+    # is bound to the traced function itself
+    traced = {getattr(importlib.import_module(f"sicladder.{m}"), f) for m, f in spans.TRACED}
+    for mod, attr in (("sicladder.optimizer", "displaced_vector"),
+                      ("sicladder.optimizer", "sic_defect"),
+                      ("sicladder.fiducials", "overlap_table"),
+                      ("sicladder", "overlap_table")):
+        assert getattr(importlib.import_module(mod), attr) in traced, f"{mod}.{attr}"
+
+
 def test_worker_configs_build_search_configs(worker):
     for label, cfg in worker.CONFIGS.items():
         assert isinstance(optimizer.SearchConfig(**cfg), optimizer.SearchConfig), label

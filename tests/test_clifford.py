@@ -6,7 +6,7 @@ import pytest
 
 from sicladder import clifford as cl
 from sicladder.errors import (EmptyEigenspace, NoMatchingPhase, NotCoprime,
-                              NotSymplectic)
+                              NotSymplectic, SicladderError)
 from sicladder.heisenberg import crt_permutation, displacement
 
 DIMS = (3, 5, 7, 9, 13, 15)
@@ -249,3 +249,13 @@ class TestCrtSymplectic:
     def test_split_rejects_common_factor(self):
         with pytest.raises(NotCoprime):
             cl.crt_split_symplectic(np.eye(2, dtype=int), 3, 9)
+
+    def test_split_certificate_fails_closed_on_nan(self, monkeypatch):
+        exact = cl.symplectic_unitary
+
+        def nan_on_the_product(F, d):
+            U = exact(F, d)
+            return U * np.nan if d == 15 else U
+        monkeypatch.setattr(cl, "symplectic_unitary", nan_on_the_product)
+        with pytest.raises(SicladderError, match="certificate"):
+            cl.crt_split_symplectic(np.array([[10, 9], [1, 4]]), 3, 5)

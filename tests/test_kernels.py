@@ -5,6 +5,7 @@ objective into a different restart history, so a kernel rewrite must agree
 with the original to the last bit, not just within a tolerance. The
 original implementations are kept here as oracles.
 """
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -29,12 +30,40 @@ from sicladder.linalg import eig_unitary, phase_fix_columns
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
+def seed_su2(theta, s0, s1):
+    return np.array([
+        [np.cos(theta / 2) * np.exp(1j * s0), np.sin(theta / 2) * np.exp(1j * s1)],
+        [-np.sin(theta / 2) * np.exp(-1j * s1), np.cos(theta / 2) * np.exp(-1j * s0)]])
+
+
+def seed_block_unitary(size, pars, special):
+    if size == 1:
+        return np.array([[1.0 + 0j]]) if special else np.array([[np.exp(1j * pars[0])]])
+    U = seed_su2(pars[0], pars[1], pars[2])
+    return U if special else U * np.exp(1j * pars[3])
+
+
+def seed_block_coefficients(family, params):
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    if family.conjugate:
+        s = params[0]
+        return [np.array([[c]], dtype=complex)
+                for c in (1.0, np.exp(1j * s), np.exp(-1j * s))]
+    out, k = [], 0
+    for bi, (fi, _) in enumerate(family.blocks):
+        n = len(fi)
+        take = n * n - 1 if bi == 0 else n * n
+        out.append(seed_block_unitary(n, params[k:k + take], special=(bi == 0)))
+        k += take
+    return out
+
+
 def seed_build_proto(family, params):
     d = family.d
     fv, ev = family.f_basis.vectors, family.e_basis.vectors
     half = (d - 1) // 2
     psi = np.zeros((d - 2) * d, dtype=complex)
-    for U, (fi, ei) in zip(lad.block_coefficients(family, params), family.blocks):
+    for U, (fi, ei) in zip(seed_block_coefficients(family, params), family.blocks):
         for a in range(len(fi)):
             for b in range(len(ei)):
                 psi += U[a, b] * np.kron(fv[:, fi[a]], ev[:, ei[b]])
@@ -50,6 +79,15 @@ def seed_displaced_vector(psi, i, j):
     out = np.zeros(d, dtype=complex)
     out[(s + i) % d] = ph * psi[s]
     return out
+
+
+def seed_partial_defect(psi, terms, N):
+    tgt = 1.0 / (N + 1)
+    tot = 0.0
+    for i, j in terms:
+        ov = np.vdot(psi, seed_displaced_vector(psi, i, j))
+        tot += (abs(ov) ** 2 - tgt) ** 2
+    return tot
 
 
 def seed_restricted_labeled_basis(B, U, order):
@@ -119,19 +157,76 @@ def families(fam5, f7, f9, f15):
     P = lad.generalized_parity(f15)
     e_b, f_b = lad.paired_bases(f15, canonical_order3(13), P,
                                 lad.refining_involutions(f15))
+    fam9 = _family(f9, 7)
+    # blocks [1, 1, 2]: a size-2 block that is not the special one
+    rotated = dataclasses.replace(fam9, blocks=fam9.blocks[1:] + fam9.blocks[:1])
     return {"5->15": fam5,
             "7->35 conjugate": _family(f7, 5, conjugate=True),
-            "9->63": _family(f9, 7),
-            "15->195 refined": lad.make_proto_family(f15, e_b, f_b, 0)}
+            "9->63": fam9,
+            "15->195 refined": lad.make_proto_family(f15, e_b, f_b, 0),
+            "9->63 rotated": rotated}
 
 
-@pytest.mark.parametrize("name", ["5->15", "7->35 conjugate", "9->63", "15->195 refined"])
+FAMILY_KINDS = ["5->15", "7->35 conjugate", "9->63", "15->195 refined", "9->63 rotated"]
+
+
+def _random_params(fam, rng):
+    x = rng.uniform(-2 * np.pi, 4 * np.pi, fam.n_params)
+    x[rng.integers(fam.n_params)] = rng.choice([0.0, -0.0, np.pi, -np.pi])
+    return x
+
+
+@pytest.mark.parametrize("name", FAMILY_KINDS)
 def test_build_proto_is_bit_identical(families, name):
     fam = families[name]
     rng = np.random.default_rng(11)
     for _ in range(300):
         x = rng.uniform(-2 * np.pi, 4 * np.pi, fam.n_params)
         assert np.array_equal(lad.build_proto(fam, x), seed_build_proto(fam, x))
+
+
+@pytest.mark.parametrize("name", FAMILY_KINDS)
+def test_block_coefficients_are_bit_identical(families, name):
+    fam = families[name]
+    assert name != "9->63 rotated" or 2 in fam.block_sizes[1:]
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        x = _random_params(fam, rng)
+        new, old = lad.block_coefficients(fam, x), seed_block_coefficients(fam, x)
+        assert len(new) == len(old)
+        for u, v in zip(new, old):
+            # sign bits too: the coefficients multiply rows that hold zeros
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("name", FAMILY_KINDS)
+def test_rows_are_c_contiguous_and_read_only(families, name):
+    # an F-contiguous R[:, g] reduces in another order (ladder docstring)
+    fam = families[name]
+    assert fam.rows.shape == (sum(s * s for s in fam.block_sizes), fam.d * (fam.d - 2))
+    assert fam.rows.flags.c_contiguous and not fam.rows.flags.writeable
+
+
+def test_refined_search_history_is_unchanged(families, monkeypatch):
+    fam = families["15->195 refined"]
+    cfg = opt.SearchConfig(restarts=1, max_iters=300, term_budget=9, seed=2)
+    scipy_minimize = opt._scipy_minimize
+    runs = []
+    for seed_objective in (False, True):
+        if seed_objective:
+            monkeypatch.setattr(lad, "build_proto", seed_build_proto)
+            monkeypatch.setattr(opt, "_partial_defect", seed_partial_defect)
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(scipy_minimize(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(opt, "_scipy_minimize", recording)
+        opt.minimize(fam, cfg)
+        runs.append([(r.x.tobytes(), np.float64(r.fun).tobytes(), r.nfev, r.nit)
+                     for r in results])
+    assert len(runs[0]) == 1 and runs[0][0][2] > 300
+    assert runs[0] == runs[1]
 
 
 def _assert_same_bases(new, old):
@@ -168,6 +263,32 @@ def test_displaced_vector_is_bit_identical(d):
             for v in (psi, psi.real):
                 assert np.array_equal(displaced_vector(v, i, j),
                                       seed_displaced_vector(v, i, j))
+
+
+@pytest.mark.parametrize("d", (15, 35, 63, 195))
+def test_stacked_displaced_vector_rows_match_single_pairs(d):
+    rng = np.random.default_rng(d + 1)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    # 120 rows of 195 pass 256 KiB, where numpy may multiply in place
+    for k in (1, 9, 120):
+        pairs = tuple((int(i), int(j)) for i, j in rng.integers(-d, 2 * d, size=(k, 2)))
+        stack = displaced_vector(psi, pairs)
+        assert stack.shape == (k, d)
+        for row, (i, j) in zip(stack, pairs):
+            assert np.array_equal(row, displaced_vector(psi, i, j))
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 5), (7, 9), (13, 15)])
+def test_partial_defect_is_bit_identical(n1, n2):
+    N = n1 * n2
+    rng = np.random.default_rng(N)
+    for budget in (9, 40):
+        terms = opt._residual_terms(n1, n2, budget)
+        for _ in range(200):
+            psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+            psi /= np.linalg.norm(psi)
+            assert np.float64(opt._partial_defect(psi, terms, N)).tobytes() == \
+                np.float64(seed_partial_defect(psi, terms, N)).tobytes()
 
 
 def test_displaced_vector_is_bit_identical_at_195():

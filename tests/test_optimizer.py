@@ -218,6 +218,11 @@ class TestClimbDriver:
             opt.climb(f15, sector="w",
                       cfg=opt.SearchConfig(restarts=1, max_iters=40))
 
+    def test_integer_sector_is_an_exponent_not_a_name(self, f5):
+        # the name "1" is exponent 0; the integer 1 is exponent 1
+        out = opt.climb(f5, sector=1, cfg=opt.SearchConfig(restarts=1, max_iters=10))
+        assert [b.target_exponent for b in out.branches] == [1, 1]
+
     def test_sector_aliases(self, f5):
         cfg = opt.SearchConfig(restarts=2, max_iters=800, seed=0)
         a = opt.climb(f5, sector="w2", cfg=cfg)
