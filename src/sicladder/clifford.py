@@ -16,7 +16,6 @@ phase is then pinned, where needed, to a prescribed eigenvalue-multiplicity
 pattern (fix_phase_to_table) or to the principal root (fix_phase_principal).
 """
 import functools
-import itertools
 
 import numpy as np
 
@@ -156,18 +155,25 @@ def zauner_matrix_standard(d):
 
 
 def order3_elements(d):
-    """All order-3 elements of SL(2, Z_d), lexicographic in (a, b, g, e)."""
-    out = []
-    I = np.eye(2, dtype=int)
-    for a, b, g, e in itertools.product(range(d), repeat=4):
-        if (a * e - b * g) % d != 1:
-            continue
-        M = np.array([[a, b], [g, e]])
-        if np.array_equal(M, I):
-            continue
-        if np.array_equal((M @ M @ M) % d, I):
-            out.append(M)
-    return out
+    """All order-3 elements of SL(2, Z_d), lexicographic in (a, b, g, e).
+
+    With det 1 and trace t, Cayley-Hamilton gives M^3 = (t^2-1) M - t I over
+    any commutative ring, so M^3 = I exactly when (t^2-1) M = (t+1) I mod d.
+    (t = -1 alone misses the unipotent elements mod 3 when 3 divides d.)
+    """
+    r = np.arange(d)
+    a, e = np.divmod(np.arange(d * d), d)
+    c, t1 = ((a + e) ** 2 - 1) % d, (a + e + 1) % d
+    keep = (c * a % d == t1) & (c * e % d == t1)
+    rows = []
+    for ai, ei, ci in zip(a[keep], e[keep], c[keep]):
+        bg = r[ci * r % d == 0]
+        b, g = np.repeat(bg, len(bg)), np.tile(bg, len(bg))
+        ok = (ai * ei - b * g) % d == 1
+        rows.append(np.stack(np.broadcast_arrays(ai, b[ok], g[ok], ei), axis=1))
+    M = np.concatenate(rows)
+    M = M[np.any(M != [1, 0, 0, 1], axis=1)]
+    return list(M[np.lexsort(M.T[::-1])].reshape(-1, 2, 2))
 
 
 def _is_monomial(U, tol=1e-8):

@@ -26,8 +26,10 @@ against the old with np.array_equal. Pitfalls: numpy multiplies in place
 into a large temporary (over 256 KiB), so `a * (b * c)` can round
 differently from the same product on a named array; np.abs over an array
 (SIMD hypot) differs from scalar abs in about a third of random complex
-values, so absolute values in the searches stay scalar; and a reduction
-over an F-contiguous array sums in another order (see the ladder module).
+values, so absolute values in the searches stay scalar; a reduction over
+an F-contiguous array sums in another order (see the ladder module); and
+np.vecdot(psi, stack) calls zdotc per row, matching np.vdot row by row,
+while stack @ conj(psi) is a zgemv and sums in another order.
 The gather tables of displaced_vector are cached on the raw (i, j): tau^d
 = 1, yet t[k + d] and t[k] differ in the last bit, so reducing i or j mod d
 would change the phase row.

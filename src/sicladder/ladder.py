@@ -351,6 +351,11 @@ class ProtoFamily:
         return kinds
 
     @functools.cached_property
+    def scale(self):
+        """sqrt((d-1)/2), the norm build_proto divides by."""
+        return np.sqrt((self.d - 1) // 2)
+
+    @functools.cached_property
     def rows(self):
         """The rows kron(f_a, e_b) of every block in coefficient order (a
         slow, b fast), gathered into global indexing; C-contiguous and
@@ -464,8 +469,7 @@ def build_proto(family, params):
     the coefficients times the stacked rows, summed row by row in
     coefficient order."""
     co = _coefficient_vector(family, params)
-    half = (family.d - 1) // 2
-    return np.add.reduce(co[:, None] * family.rows, axis=0, initial=0j) / np.sqrt(half)
+    return np.add.reduce(co[:, None] * family.rows, axis=0, initial=0j) / family.scale
 
 
 def to_tensor(psi, d):

@@ -11,11 +11,12 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-from sicladder import cli, fiducials, optimizer
+from sicladder import cli, fiducials, ladder, optimizer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -89,3 +90,29 @@ def test_worker_command_lines_parse(tmp_path):
     parser.parse_args(["fiducial-find", "--dim", "9", "--seed", "0",
                        "--out", str(tmp_path / "f9.json")])
     parser.parse_args(["verify", "--input", str(tmp_path / "f9.json")])
+
+
+@pytest.mark.parametrize("term_budget", [None, 9])
+def test_each_evaluation_is_one_build_proto_call(fam5, monkeypatch, term_budget):
+    # run.py reads optimizer.evals as the build_proto calls inside minimize:
+    # one per objective evaluation plus the final rebuild of the restart's
+    # result; an inlined proto build would read as zero evaluations
+    calls, results = [0], []
+    build_proto, scipy_minimize = ladder.build_proto, optimizer._scipy_minimize
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return build_proto(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        results.append(scipy_minimize(*args, **kwargs))
+        return results[-1]
+    # like spans.Tracer.install: every namespace that holds the function
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sicladder" and getattr(mod, "build_proto", None) is build_proto:
+            monkeypatch.setattr(mod, "build_proto", counting)
+    monkeypatch.setattr(optimizer, "_scipy_minimize", recording)
+    cfg = optimizer.SearchConfig(restarts=1, max_iters=40, term_budget=term_budget)
+    optimizer.minimize(fam5, cfg)
+    assert len(results) == 1, "the polish pass ran; shorten the cap"
+    assert calls[0] == results[0].nfev + 1 > 1

@@ -26,6 +26,20 @@ def covariance_deviation(U, F, d):
     return worst
 
 
+def seed_order3_elements(d):
+    out = []
+    I = np.eye(2, dtype=int)
+    for a, b, g, e in itertools.product(range(d), repeat=4):
+        if (a * e - b * g) % d != 1:
+            continue
+        M = np.array([[a, b], [g, e]])
+        if np.array_equal(M, I):
+            continue
+        if np.array_equal((M @ M @ M) % d, I):
+            out.append(M)
+    return out
+
+
 def random_symplectic(d, rng):
     # a invertible, then e is forced by det = 1
     while True:
@@ -135,6 +149,24 @@ class TestStandardElements:
             assert not np.array_equal(M, I)
             assert np.array_equal((M @ M @ M) % 5, I)
             assert (M[0, 0] + M[1, 1]) % 5 == 4  # trace -1 characterizes order 3
+
+    @pytest.mark.parametrize("d", range(3, 37, 2))
+    def test_order3_elements_match_the_seed_scan(self, d):
+        new, old = cl.order3_elements(d), seed_order3_elements(d)
+        assert len(new) == len(old)
+        for M, S in zip(new, old):
+            assert M.dtype == S.dtype and M.tolist() == S.tolist()
+
+    @pytest.mark.parametrize("d,count", [(5, 20), (7, 56), (11, 110), (13, 182), (193, 37442)])
+    def test_order3_counts_at_primes(self, d, count):
+        # d(d+1) for d = 1 mod 3, d(d-1) for d = 2 mod 3
+        els = cl.order3_elements(d)
+        assert len(els) == count == d * (d + 1 if d % 3 == 1 else d - 1)
+        M = np.array(els)
+        a, b, g, e = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        assert np.all((a * e - b * g) % d == 1)
+        M3 = np.einsum("kij,kjl,klm->kim", M, M, M) % d
+        assert np.all(M3 == np.eye(2, dtype=int))
 
     def test_canonical_pick_is_diagonal_when_possible(self):
         # x^2 + x + 1 has roots mod 13 (x = 3, 9) but none mod 5

@@ -278,6 +278,18 @@ def test_stacked_displaced_vector_rows_match_single_pairs(d):
             assert np.array_equal(row, displaced_vector(psi, i, j))
 
 
+@pytest.mark.parametrize("N", (15, 35, 63, 195, 1155))
+def test_vecdot_matches_per_row_vdot(N):
+    # _partial_defect relies on np.vecdot summing each row as np.vdot does
+    # (zdotc); a numpy that reroutes it would move the refined search
+    rng = np.random.default_rng(N + 2)
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    for k in (1, 9, 40, 120):
+        stack = rng.normal(size=(k, N)) + 1j * rng.normal(size=(k, N))
+        rows = np.array([np.vdot(psi, row) for row in stack])
+        assert np.vecdot(psi, stack).tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize("n1,n2", [(3, 5), (7, 9), (13, 15)])
 def test_partial_defect_is_bit_identical(n1, n2):
     N = n1 * n2
