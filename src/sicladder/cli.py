@@ -245,8 +245,15 @@ def _design_row(f):
     return "design(potential)", abs(pot - 2.0 * f.d / (f.d + 1))
 
 
-def _verify_one(f, body, levels, prefix=""):
-    """Certificate rows (name, error, passed) for one stored vector."""
+def _embedded_source(src):
+    return SicFiducial(d=int(src["dimension"]), vector=_unpairs(src["vector"]))
+
+
+def _verify_one(f, source, levels, explicit, prefix=""):
+    """Certificate rows (name, error, passed) for one stored vector, with
+    source the fiducial it was climbed from or None. explicit: the levels
+    were named by the user, so an inapplicable one is an error rather than
+    skipped."""
     rows = []
     if "sic" in levels:
         rows.append((prefix + "sic", overlap_phases(f).defect))
@@ -254,14 +261,12 @@ def _verify_one(f, body, levels, prefix=""):
         name, err = _design_row(f)
         rows.append((prefix + name, err))
     if "alignment" in levels:
-        src = body.get("source")
-        if src is None:
-            if "alignment" in levels.explicit:
+        if source is None:
+            if explicit:
                 raise SicladderError(
                     "alignment verification needs a file with an embedded source")
         else:
-            sf = SicFiducial(d=int(src["dimension"]), vector=_unpairs(src["vector"]))
-            cert = ladder.verify_alignment(f.vector, overlap_phases(sf), tol=PASS_TOL)
+            cert = ladder.verify_alignment(f.vector, overlap_phases(source), tol=PASS_TOL)
             err = max(cert.max_err_unit_condition, cert.max_err_phase_condition)
             rows.append((prefix + "alignment", err))
             if cert.matrix_M is not None:
@@ -270,7 +275,7 @@ def _verify_one(f, body, levels, prefix=""):
     if "etf" in levels:
         d = _ladder_dim_of(f.d)
         if d is None:
-            if "etf" in levels.explicit:
+            if explicit:
                 raise SicladderError(
                     f"dimension {f.d} is not of the laddered form d(d-2)")
         else:
@@ -288,32 +293,23 @@ def _verify_one(f, body, levels, prefix=""):
     return rows
 
 
-class _Levels(set):
-    """Requested check names; `explicit` holds the ones the user asked for
-    by name (an inapplicable explicit level is an error, a skipped one under
-    --level all is not)."""
-    explicit = frozenset()
-
-
 def cmd_verify(args):
     kind, body, f = load_artifact(args.input)
-    levels = _Levels(("sic", "design", "alignment", "etf")
-                     if args.level == "all" else (args.level,))
-    levels.explicit = frozenset() if args.level == "all" else frozenset((args.level,))
+    explicit = args.level != "all"
+    levels = (args.level,) if explicit else ("sic", "design", "alignment", "etf")
 
     rows = []
     if kind == "fiducial":
-        rows += _verify_one(f, body, levels)
+        src = body.get("source") if "alignment" in levels else None
+        rows += _verify_one(f, None if src is None else _embedded_source(src),
+                            levels, explicit)
     elif kind == "climb-report":
-        src = body["source"]
-        sf = SicFiducial(d=int(src["dimension"]), vector=_unpairs(src["vector"]))
+        sf = _embedded_source(body["source"])
         for bi, b in enumerate(body["branches"]):
             for si, sol in enumerate(b["solutions"]):
-                v = _unpairs(sol["vector"])
-                sub = SicFiducial(d=int(body["target_dimension"]), vector=v)
-                sub_body = {"source": {"dimension": src["dimension"],
-                                       "vector": src["vector"]}}
-                rows += _verify_one(sub, sub_body, levels,
+                sub = SicFiducial(d=int(body["target_dimension"]),
+                                  vector=_unpairs(sol["vector"]))
+                rows += _verify_one(sub, sf, levels, explicit,
                                     prefix=f"branch{bi}-sic{si}:")
     else:
         print(f"error: unknown artifact kind {kind!r}", file=sys.stderr)
@@ -390,7 +386,7 @@ def build_parser():
     q = sub.add_parser("climb", help="search the next ladder dimension from a SIC")
     q.add_argument("--input", required=True)
     q.add_argument("--sector", default="auto",
-                   choices=("auto", "1", "w", "w2", "ω", "ω2", "ω²", "all"),
+                   choices=("auto", *optimizer.SECTOR_NAMES, "all"),
                    help="target eigenvalue; the names w/w2 need order-3 labels")
     q.add_argument("--try-both-generators", action="store_true",
                    help="sweep every order-3 generator choice, keeping empty branches")

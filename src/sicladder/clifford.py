@@ -176,10 +176,6 @@ def order3_elements(d):
     return list(M[np.lexsort(M.T[::-1])].reshape(-1, 2, 2))
 
 
-def _is_monomial(U, tol=1e-8):
-    return bool(np.all(np.sum(np.abs(U) > tol, axis=1) == 1))
-
-
 @functools.lru_cache(maxsize=None)
 def canonical_order3(d):
     """Preferred order-3 symplectic for dimension d.
@@ -188,13 +184,17 @@ def canonical_order3(d):
     monomial and admits the tabulated phase fix; if no such element exists
     (true already at d=5) the standard [[0,-1],[1,-1]] is used. Monomial
     representatives keep eigenbases sparse and reproducible.
+
+    U_F is monomial exactly when F[0, 1] = 0 mod d, so the rest are skipped
+    unbuilt: a monomial U_F maps diagonal matrices to diagonal ones, so F
+    maps (0, 1) into <(0, 1)>; conversely U_F then maps Z's nondegenerate
+    eigenbasis, the standard one, to an eigenbasis of the diagonal Z^e.
     """
     for F in order3_elements(d):
-        U = symplectic_unitary(F, d)
-        if not _is_monomial(U):
+        if F[0, 1]:
             continue
         try:
-            fix_phase_to_table(U, 3)
+            fix_phase_to_table(symplectic_unitary(F, d), 3)
         except NoMatchingPhase:
             continue
         F.setflags(write=False)

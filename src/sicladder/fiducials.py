@@ -59,11 +59,15 @@ def overlap_phases(f):
     return OverlapTable(d=d, phases=t, defect=float(np.abs(mods[1:] - 1).max()))
 
 
-def sic_defect(v, d):
-    v = np.asarray(v, dtype=complex)
+def _overlap_residuals(v, d):
+    """|<v|D_p|v>|^2 - 1/(d+1) over p, flattened; the p = 0 entry is 0."""
     m = (np.abs(overlap_table(v)) ** 2).ravel()
     m[0] = 1.0 / (d + 1)
-    return float(np.sum((m - 1.0 / (d + 1)) ** 2))
+    return m - 1.0 / (d + 1)
+
+
+def sic_defect(v, d):
+    return float(np.sum(_overlap_residuals(np.asarray(v, dtype=complex), d) ** 2))
 
 
 def verify_sic(f, tol=1e-8):
@@ -79,8 +83,7 @@ def verify_sic(f, tol=1e-8):
     S = orb.T @ orb.conj()
     if np.abs(S - d * np.eye(d)).max() > tol:
         return False
-    m = (np.abs(overlap_table(v)) ** 2).ravel()
-    return bool(np.abs(m[1:] - 1.0 / (d + 1)).max() <= tol)
+    return bool(np.abs(_overlap_residuals(v, d)[1:]).max() <= tol)
 
 
 def two_design_deviation(f):
@@ -141,9 +144,7 @@ def _defect_residuals(B, d, real_coeffs):
         n = np.linalg.norm(psi)
         if n < 1e-12:
             return np.full(d * d, 1.0)
-        m = (np.abs(overlap_table(psi / n)) ** 2).ravel()
-        m[0] = 1.0 / (d + 1)
-        return m - 1.0 / (d + 1)
+        return _overlap_residuals(psi / n, d)
 
     return resid, (nb if real_coeffs else 2 * nb)
 

@@ -92,14 +92,12 @@ def _displacement_gather(d, pairs):
     return src, ph
 
 
-def displaced_vector(psi, i, j=None):
-    """D_{i,j} psi without forming the matrix. Given a tuple of (i, j)
-    pairs in place of i and no j, the (k, d) stack of D_p psi over them."""
-    pairs = i if j is None else ((i, j),)
+def displaced_vector(psi, pairs):
+    """The (k, d) stack of D_p psi over a tuple of k pairs p = (i, j),
+    without forming the matrices."""
     src, ph = _displacement_gather(len(psi), pairs)
     moved = psi[src]   # named, so the product is not done in place
-    out = ph * moved
-    return out if j is None else out[0]
+    return ph * moved
 
 
 def wh_orbit(psi):

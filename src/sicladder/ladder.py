@@ -327,28 +327,9 @@ class ProtoFamily:
     def block_sizes(self):
         return [len(fi) for fi, _ in self.blocks]
 
-    @functools.cached_property
-    def n_params(self):
-        if self.conjugate:
-            return 1
-        sizes = self.block_sizes
-        return (sizes[0] ** 2 - 1) + sum(s * s for s in sizes[1:])
-
     @property
-    def param_kinds(self):
-        """'polar' for SU(2) mixing angles (clamped to [0, pi]), 'phase' otherwise."""
-        if self.conjugate:
-            return ["phase"]
-        kinds = []
-        for bi, s in enumerate(self.block_sizes):
-            n = s * s - 1 if bi == 0 else s * s
-            if s == 1:
-                kinds += ["phase"] * n
-            elif s == 2:
-                kinds += ["polar", "phase", "phase"] + (["phase"] if bi > 0 else [])
-            else:
-                raise SicladderError(f"blocks of size {s} not supported")
-        return kinds
+    def n_params(self):
+        return self.coefficient_plan[-1]
 
     @functools.cached_property
     def scale(self):
@@ -369,14 +350,20 @@ class ProtoFamily:
 
     @functools.cached_property
     def coefficient_plan(self):
-        """Index arrays of _coefficient_vector, built once per family:
-        (arg, mult, polar, su2, scale, scaled). exp(params[arg] * mult) is
-        each coefficient's phase factor (mult 0: a special singleton's frozen
-        1). The size-2 entries su2, by position in the block, take (cos, sin,
-        -sin, cos) of the half angles params[polar]; those scaled of
-        non-special blocks take the U(2) phase exp(1j params[scale])."""
+        """The parameter layout and the index arrays of _coefficient_vector,
+        built once per family: (arg, mult, polar, su2, scale, scaled,
+        n_params). The one place that reads the layout off the block sizes:
+        params[polar] are the SU(2) angles, each followed by its block's two
+        diagonal phases, and every other parameter is a phase.
+        exp(params[arg] * mult) is each coefficient's phase factor (mult 0: a
+        special singleton's frozen 1). The size-2 entries su2, by position in
+        the block, take (cos, sin, -sin, cos) of the half angles
+        params[polar]; those scaled of non-special blocks take the U(2) phase
+        exp(1j params[scale])."""
         if self.conjugate:
-            return np.zeros(3, dtype=np.intp), np.array([0, 1j, -1j]), [], [], [], []
+            none = np.zeros(0, dtype=np.intp)
+            return (np.zeros(3, dtype=np.intp), np.array([0, 1j, -1j]),
+                    none, none, none, none, 1)
         arg, mult, polar, su2, scale, scaled = [], [], [], [], [], []
         k = 0
         for bi, s in enumerate(self.block_sizes):
@@ -397,7 +384,7 @@ class ProtoFamily:
             k += s * s - (bi == 0)
         su2 = [o + t for t in range(4) for o in su2]
         return (np.array(arg), np.array(mult, dtype=complex),
-                *(np.array(x, dtype=np.intp) for x in (polar, su2, scale, scaled)))
+                *(np.array(x, dtype=np.intp) for x in (polar, su2, scale, scaled)), k)
 
     @property
     def pairing(self):
@@ -425,13 +412,13 @@ def make_pairing(f_basis, e_basis, target_exponent):
 
 
 def make_proto_family(f, e_basis, f_basis, target_exponent, conjugate=False):
-    blocks = make_pairing(f_basis, e_basis, target_exponent)
-    if conjugate:
-        sizes = [len(fi) for fi, _ in blocks]
-        if sizes != [1, 1, 1]:
-            raise BadPairing(f"conjugate pairing needs three singleton blocks, got {sizes}")
-    return ProtoFamily(d=f.d, e_basis=e_basis, f_basis=f_basis, blocks=blocks,
-                       target_exponent=target_exponent, conjugate=conjugate)
+    fam = ProtoFamily(d=f.d, e_basis=e_basis, f_basis=f_basis,
+                      blocks=make_pairing(f_basis, e_basis, target_exponent),
+                      target_exponent=target_exponent, conjugate=conjugate)
+    if conjugate and fam.block_sizes != [1, 1, 1]:
+        raise BadPairing(
+            f"conjugate pairing needs three singleton blocks, got {fam.block_sizes}")
+    return fam
 
 
 def _coefficient_vector(family, params):
@@ -439,9 +426,9 @@ def _coefficient_vector(family, params):
     concatenated: every coefficient at once, from the same ufunc calls as
     one SU(2) or U(1) block at a time (see the module docstring)."""
     params = np.atleast_1d(np.asarray(params, dtype=float))
-    if len(params) != family.n_params:
-        raise ParamCountMismatch(f"need {family.n_params} parameters, got {len(params)}")
-    arg, mult, polar, su2, scale, scaled = family.coefficient_plan
+    arg, mult, polar, su2, scale, scaled, n = family.coefficient_plan
+    if len(params) != n:
+        raise ParamCountMismatch(f"need {n} parameters, got {len(params)}")
     co = np.exp(params[arg] * mult)
     if len(polar):
         h = params[polar] / 2
@@ -450,6 +437,22 @@ def _coefficient_vector(family, params):
         if len(scaled):
             co[scaled] = co[scaled] * np.exp(params[scale] * 1j)
     return co
+
+
+def canonical_params(family, params):
+    """params wrapped into [0, 2pi), each SU(2) angle theta > pi reflected
+    to 2pi - theta and the phase alpha after it advanced by pi.
+
+    The vector is unchanged: the half angle goes to pi - h, so c = cos h
+    turns into -c while sin h stays, and c multiplies e^{+-i alpha}; c -> -c
+    together with alpha -> alpha + pi leaves the block the same.
+    """
+    p = np.array(params, dtype=float) % (2 * np.pi)
+    polar = family.coefficient_plan[2]
+    k = polar[p[polar] > np.pi]
+    p[k] = 2 * np.pi - p[k]
+    p[k + 1] = (p[k + 1] + np.pi) % (2 * np.pi)
+    return p
 
 
 def block_coefficients(family, params):

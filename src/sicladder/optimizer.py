@@ -84,21 +84,6 @@ def _partial_defect(psi, terms, N):
     return tot
 
 
-def _canonicalize(params, kinds):
-    """Wrap phases mod 2pi and reflect polar angles into [0, pi].
-
-    The reflection theta -> 2pi - theta leaves the SU(2) block unchanged
-    when the diagonal phase advances by pi, so the represented vector is
-    exactly preserved.
-    """
-    p = np.array(params, dtype=float) % (2 * np.pi)
-    for k, kind in enumerate(kinds):
-        if kind == "polar" and p[k] > np.pi:
-            p[k] = 2 * np.pi - p[k]
-            p[k + 1] = (p[k + 1] + np.pi) % (2 * np.pi)
-    return p
-
-
 def minimize(family, cfg):
     """Multistart Nelder-Mead over the family parameters.
 
@@ -109,7 +94,6 @@ def minimize(family, cfg):
     """
     npar = family.n_params
     N = family.d * (family.d - 2)
-    kinds = family.param_kinds
     max_iters, budget = ROUTE_DEFAULTS[family.f_basis.order]
     if cfg.max_iters is not None:
         max_iters = cfg.max_iters
@@ -140,7 +124,7 @@ def minimize(family, cfg):
                                               maxiter=4000, maxfev=8000))
             if r2.fun < full_objective(r.x):
                 r = r2
-        params = _canonicalize(r.x, kinds)
+        params = ladder.canonical_params(family, r.x)
         psi = ladder.build_proto(family, params)
         full = sic_defect(psi, N)
         part = full if terms is None else _partial_defect(psi, terms, N)

@@ -86,7 +86,7 @@ class TestVectorRoutes:
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             for p in ((0, 0), (1, 0), (0, 1), (2, d - 1)):
                 direct = displacement(d, *p) @ v
-                assert np.abs(displaced_vector(v, *p) - direct).max() < 1e-12
+                assert np.abs(displaced_vector(v, (p,))[0] - direct).max() < 1e-12
 
     def test_orbit_rows(self):
         rng = np.random.default_rng(1)

@@ -1,8 +1,11 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+every private module-level function or class is read.
 
-__init__.py is exempt (its imports are the public re-exports), and so is
-`from __future__`. A name counts as used when it is read anywhere in the
-module outside the import statements themselves.
+__init__.py is exempt from the import check (its imports are the public
+re-exports), and so is `from __future__`. An imported name counts as used
+when it is read anywhere in the module outside the import statements
+themselves; a private definition counts as read when its name is read
+anywhere in the package outside the definition itself.
 """
 import ast
 from pathlib import Path
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sicladder"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -23,9 +27,15 @@ def _imported_names(tree):
                 yield a.asname or a.name
 
 
-def _read_names(tree):
-    return {n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+def _read_names(tree, skip=None):
+    """Names read anywhere in tree, outside the subtree skip."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        stack.extend(c for c in ast.iter_child_nodes(node) if c is not skip)
+    return out
 
 
 def test_the_package_has_modules():
@@ -38,3 +48,15 @@ def test_module_level_imports_are_used(path):
     read = _read_names(tree)
     unused = [name for name in _imported_names(tree) if name not in read]
     assert not unused, f"{path.stem} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_private_definitions_are_read(path):
+    tree = ast.parse(path.read_text())
+    elsewhere = set().union(*(_read_names(ast.parse(p.read_text()))
+                              for p in PACKAGE if p != path))
+    unread = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in elsewhere | _read_names(tree, skip=node)]
+    assert not unread, f"{path.stem} defines {unread} and never reads them"

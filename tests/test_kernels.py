@@ -18,9 +18,11 @@ from sicladder import frames as fr
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import (canonical_order3, eigenspace_basis,
-                                fix_phase_to_table, parity_operator,
-                                symplectic_unitary)
-from sicladder.errors import AlignmentRequired, BadPairing
+                                fix_phase_to_table, order3_elements,
+                                parity_operator, symplectic_unitary,
+                                zauner_matrix_standard)
+from sicladder.errors import (AlignmentRequired, BadPairing, NoMatchingPhase,
+                              SicladderError)
 from sicladder.heisenberg import (crt_index, crt_permutation, crt_to_tensor,
                                   displaced_vector, displacement,
                                   overlap_table, tau_powers, wh_orbit,
@@ -88,6 +90,49 @@ def seed_partial_defect(psi, terms, N):
         ov = np.vdot(psi, seed_displaced_vector(psi, i, j))
         tot += (abs(ov) ** 2 - tgt) ** 2
     return tot
+
+
+def seed_param_kinds(family):
+    if family.conjugate:
+        return ["phase"]
+    kinds = []
+    for bi, s in enumerate(family.block_sizes):
+        n = s * s - 1 if bi == 0 else s * s
+        if s == 1:
+            kinds += ["phase"] * n
+        elif s == 2:
+            kinds += ["polar", "phase", "phase"] + (["phase"] if bi > 0 else [])
+        else:
+            raise SicladderError(f"blocks of size {s} not supported")
+    return kinds
+
+
+def seed_canonicalize(params, kinds):
+    p = np.array(params, dtype=float) % (2 * np.pi)
+    for k, kind in enumerate(kinds):
+        if kind == "polar" and p[k] > np.pi:
+            p[k] = 2 * np.pi - p[k]
+            p[k + 1] = (p[k + 1] + np.pi) % (2 * np.pi)
+    return p
+
+
+def seed_sic_defect(v, d):
+    v = np.asarray(v, dtype=complex)
+    m = (np.abs(overlap_table(v)) ** 2).ravel()
+    m[0] = 1.0 / (d + 1)
+    return float(np.sum((m - 1.0 / (d + 1)) ** 2))
+
+
+def seed_equiangularity_error(v, d):
+    m = (np.abs(overlap_table(v)) ** 2).ravel()
+    return np.abs(m[1:] - 1.0 / (d + 1)).max()
+
+
+def seed_defect_residuals(B, d, coef):
+    psi = B @ (coef[:B.shape[1]] + 1j * coef[B.shape[1]:])
+    m = (np.abs(overlap_table(psi / np.linalg.norm(psi))) ** 2).ravel()
+    m[0] = 1.0 / (d + 1)
+    return m - 1.0 / (d + 1)
 
 
 def seed_restricted_labeled_basis(B, U, order):
@@ -161,13 +206,14 @@ def families(fam5, f7, f9, f15):
     # blocks [1, 1, 2]: a size-2 block that is not the special one
     rotated = dataclasses.replace(fam9, blocks=fam9.blocks[1:] + fam9.blocks[:1])
     return {"5->15": fam5,
+            "7->35 plain": _family(f7, 5),
             "7->35 conjugate": _family(f7, 5, conjugate=True),
             "9->63": fam9,
             "15->195 refined": lad.make_proto_family(f15, e_b, f_b, 0),
             "9->63 rotated": rotated}
 
 
-FAMILY_KINDS = ["5->15", "7->35 conjugate", "9->63", "15->195 refined", "9->63 rotated"]
+FAMILY_KINDS = ["5->15", "7->35 plain", "7->35 conjugate", "9->63", "15->195 refined", "9->63 rotated"]
 
 
 def _random_params(fam, rng):
@@ -197,6 +243,38 @@ def test_block_coefficients_are_bit_identical(families, name):
         for u, v in zip(new, old):
             # sign bits too: the coefficients multiply rows that hold zeros
             assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("name", FAMILY_KINDS)
+def test_canonical_params_are_byte_equal_to_the_seed_loop(families, name):
+    fam = families[name]
+    kinds = seed_param_kinds(fam)
+    assert len(kinds) == fam.n_params
+    assert fam.coefficient_plan[2].tolist() == [k for k, kind in enumerate(kinds)
+                                                if kind == "polar"]
+    rng = np.random.default_rng(13)
+    edges = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi]
+    for _ in range(2000):
+        x = rng.uniform(-2 * np.pi, 4 * np.pi, fam.n_params)
+        hit = rng.random(fam.n_params) < 0.3
+        x[hit] = rng.choice(edges, size=hit.sum())
+        assert lad.canonical_params(fam, x).tobytes() == seed_canonicalize(x, kinds).tobytes()
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 15, 35))
+def test_defect_functionals_are_bit_identical(d):
+    rng = np.random.default_rng(d + 3)
+    B = np.linalg.qr(rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)))[0]
+    resid, npar = fid._defect_residuals(B, d, real_coeffs=False)
+    for _ in range(50):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        assert np.float64(fid.sic_defect(v, d)).tobytes() == \
+            np.float64(seed_sic_defect(v, d)).tobytes()
+        r = fid._overlap_residuals(v, d)
+        assert r[0] == 0 and np.abs(r[1:]).max() == seed_equiangularity_error(v, d)
+        coef = rng.normal(size=npar)
+        assert resid(coef).tobytes() == seed_defect_residuals(B, d, coef).tobytes()
 
 
 @pytest.mark.parametrize("name", FAMILY_KINDS)
@@ -261,7 +339,7 @@ def test_displaced_vector_is_bit_identical(d):
     for i in range(-d, 2 * d):
         for j in range(-d, 2 * d):
             for v in (psi, psi.real):
-                assert np.array_equal(displaced_vector(v, i, j),
+                assert np.array_equal(displaced_vector(v, ((i, j),))[0],
                                       seed_displaced_vector(v, i, j))
 
 
@@ -275,7 +353,7 @@ def test_stacked_displaced_vector_rows_match_single_pairs(d):
         stack = displaced_vector(psi, pairs)
         assert stack.shape == (k, d)
         for row, (i, j) in zip(stack, pairs):
-            assert np.array_equal(row, displaced_vector(psi, i, j))
+            assert np.array_equal(row, displaced_vector(psi, ((i, j),))[0])
 
 
 @pytest.mark.parametrize("N", (15, 35, 63, 195, 1155))
@@ -308,7 +386,7 @@ def test_displaced_vector_is_bit_identical_at_195():
     psi = rng.normal(size=195) + 1j * rng.normal(size=195)
     for i, j in rng.integers(-195, 390, size=(400, 2)):
         i, j = int(i), int(j)
-        assert np.array_equal(displaced_vector(psi, i, j),
+        assert np.array_equal(displaced_vector(psi, ((i, j),))[0],
                               seed_displaced_vector(psi, i, j))
 
 
@@ -568,7 +646,7 @@ def seed_covariant_generator(blocks, d):
     for i in range(d):
         for j in range(d):
             for r, x in enumerate(blocks):
-                M[r * d:(r + 1) * d, col] = displaced_vector(x, i, j)
+                M[r * d:(r + 1) * d, col] = displaced_vector(x, ((i, j),))[0]
             col += 1
     return M
 
@@ -648,3 +726,27 @@ def test_embedded_etf_matches_the_dense_columns(matcher_cases):
         assert np.abs(cols - old[0]).max() <= 1e-14
         aligned += 1
     assert aligned >= 9
+
+
+# -- canonical_order3 against the unitary-per-element search it replaced ------
+
+def seed_canonical_order3(d):
+    def is_monomial(U, tol=1e-8):
+        return bool(np.all(np.sum(np.abs(U) > tol, axis=1) == 1))
+
+    for F in order3_elements(d):
+        U = symplectic_unitary(F, d)
+        if not is_monomial(U):
+            continue
+        try:
+            fix_phase_to_table(U, 3)
+        except NoMatchingPhase:
+            continue
+        return F
+    return zauner_matrix_standard(d)
+
+
+@pytest.mark.parametrize("d", range(3, 37, 2))
+def test_canonical_order3_matches_the_seed_search(d):
+    new, old = canonical_order3(d), seed_canonical_order3(d)
+    assert new.dtype == old.dtype and new.tolist() == old.tolist()

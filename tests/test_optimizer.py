@@ -103,17 +103,23 @@ class TestCanonicalize:
         P = lad.generalized_parity(f9)
         e_b, f_b = lad.paired_bases(f9, canonical_order3(7), P)
         fam = lad.make_proto_family(f9, e_b, f_b, 0)
-        assert fam.param_kinds == ["polar", "phase", "phase", "phase", "phase"]
+        # one SU(2) angle, first, then four phases
+        assert fam.n_params == 5 and fam.coefficient_plan[2].tolist() == [0]
         raw = np.array([4.0, 0.3, 5.1, 1.0, 2.0])
-        canon = opt._canonicalize(raw, fam.param_kinds)
+        canon = lad.canonical_params(fam, raw)
         assert 0 <= canon[0] <= np.pi
         assert np.all((canon >= 0) & (canon < 2 * np.pi))
         a = lad.build_proto(fam, raw)
         b = lad.build_proto(fam, canon)
         assert np.abs(a - b).max() < 1e-12
 
-    def test_pure_phase_wrap(self):
-        canon = opt._canonicalize([7.0, -1.0], ["phase", "phase"])
+    def test_pure_phase_wrap(self, f7):
+        # the plain 7 -> 35 family: three singleton blocks, two phases
+        P = lad.generalized_parity(f7)
+        e_b, f_b = lad.paired_bases(f7, canonical_order3(5), P)
+        fam = lad.make_proto_family(f7, e_b, f_b, 0)
+        assert fam.n_params == 2 and fam.coefficient_plan[2].size == 0
+        canon = lad.canonical_params(fam, [7.0, -1.0])
         assert np.allclose(canon, [7.0 - 2 * np.pi, 2 * np.pi - 1.0])
 
 
