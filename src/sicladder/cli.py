@@ -173,9 +173,6 @@ def climb_report_payload(outcome, source):
 
 
 def cmd_fiducial_find(args):
-    # canonical reproduction source per dimension: at 5, the eigenspace
-    # holds two mirror classes and the one matching the frozen climb phase
-    # is pinned; at 7 the fiducial is real so conjugate pairing works later
     f = optimizer.default_source(args.dim, seed=args.seed, restarts=args.restarts)
     prov = (f"sicladder fiducial-find --dim {args.dim} --seed {args.seed}"
             f" --restarts {args.restarts}")

@@ -9,6 +9,7 @@ with all cross overlaps of squared modulus 1/(d+1). The defect
 vanishes exactly at fiducials; searches minimize it inside an eigenspace of
 a phase-fixed order-3 symplectic, where fiducials are known to live.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,30 +111,22 @@ def two_design_check(f, tol=1e-8):
 
 
 def default_symmetry(d):
-    """Search symmetry and eigenvalue used for fiducial hunting at small d."""
+    """The fiducial search recipe at small d: (symmetry, eigenvalue,
+    real_coeffs). At d=7 the eigenspace has a real form and is searched over
+    real coefficients, so the fiducial is real (conjugate pairing needs it)."""
     if d == 5:
-        return zauner_matrix_standard(5), np.exp(2j * np.pi / 3)
+        return zauner_matrix_standard(5), np.exp(2j * np.pi / 3), False
     if d == 7:
-        return canonical_order3(7), 1.0 + 0j
+        return canonical_order3(7), 1.0 + 0j, True
     if d == 9:
-        return zauner_matrix_standard(9), 1.0 + 0j
-    raise BadDimension(f"no default symmetry for d={d}")
+        return zauner_matrix_standard(9), 1.0 + 0j, False
+    raise BadDimension(f"fiducial search supports d in (5, 7, 9), got {d}")
 
 
 def symmetry_eigenspace(d, zauner, eigenvalue):
     """Orthonormal basis of the chosen eigenspace of the phase-fixed unitary."""
     U = fix_phase_to_table(symplectic_unitary(zauner, d), 3)
     return eigenspace_basis(U, eigenvalue)
-
-
-def _search_basis(d, zauner, eigenvalue, real_coeffs):
-    B = symmetry_eigenspace(d, zauner, eigenvalue)
-    if not real_coeffs:
-        return B
-    Br, R = np.linalg.qr(np.real(B))
-    if np.abs(np.diag(R)).min() < 1e-8:
-        raise RankDeficient("eigenspace has no real form to search")
-    return Br
 
 
 def _defect_residuals(B, d, real_coeffs):
@@ -149,70 +142,82 @@ def _defect_residuals(B, d, real_coeffs):
     return resid, (nb if real_coeffs else 2 * nb)
 
 
-def find_fiducial(d, zauner=None, eigenvalue=None, restarts=20, seed=0,
-                  real_coeffs=False, target=1e-16):
-    """Seeded multistart search for a SIC fiducial in a symmetry eigenspace.
+def _gauge_ray(B, coef, real_coeffs):
+    """The gauge-fixed vector of search coefficients (as in _defect_residuals)."""
+    nb = B.shape[1]
+    return gauge_normalize(B @ (coef if real_coeffs else coef[:nb] + 1j * coef[nb:]))
 
-    Levenberg-Marquardt on the overlap residuals, restarted from normal
-    draws; the first restart reaching the target defect wins, which makes
-    the result a pure function of (d, zauner, eigenvalue, seed).
+
+def _lm_restarts(d, seed, max_nfev):
+    """Seeded Levenberg-Marquardt restarts in the eigenspace of d's recipe
+    (default_symmetry), from normal draws.
+
+    Yields (defect, ray) per restart and never stops by itself: ray() is the
+    gauge-fixed vector of that restart's coefficients, built only on demand.
     """
-    if d not in (5, 7, 9):
-        raise BadDimension(f"fiducial search supports d in (5, 7, 9), got {d}")
-    if zauner is None or eigenvalue is None:
-        zdef, edef = default_symmetry(d)
-        zauner = zdef if zauner is None else zauner
-        eigenvalue = edef if eigenvalue is None else eigenvalue
-    B = _search_basis(d, zauner, eigenvalue, real_coeffs)
+    symmetry, eigenvalue, real_coeffs = default_symmetry(d)
+    B = symmetry_eigenspace(d, symmetry, eigenvalue)
+    if real_coeffs:
+        B, R = np.linalg.qr(np.real(B))
+        if np.abs(np.diag(R)).min() < 1e-8:
+            raise RankDeficient("eigenspace has no real form to search")
     resid, npar = _defect_residuals(B, d, real_coeffs)
     rng = np.random.default_rng(seed)
-    nb = B.shape[1]
-    for t in range(restarts):
+    while True:
         r = least_squares(resid, rng.normal(size=npar), method="lm",
-                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=6000)
-        dv = float(np.sum(r.fun ** 2))
-        if dv <= target:
-            psi = B @ (r.x if real_coeffs else r.x[:nb] + 1j * r.x[nb:])
-            psi = gauge_normalize(psi)
-            return SicFiducial(d=d, vector=psi, symmetry=np.asarray(zauner) % d,
-                               symmetry_eigenvalue=complex(eigenvalue),
-                               label=f"dim{d}-seed{seed}-try{t}")
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
+        yield (float(np.sum(r.fun ** 2)),
+               functools.partial(_gauge_ray, B, r.x, real_coeffs))
+
+
+def _recipe_fiducial(d, vector, label):
+    symmetry, eigenvalue, _ = default_symmetry(d)
+    return SicFiducial(d=d, vector=vector, symmetry=np.asarray(symmetry) % d,
+                       symmetry_eigenvalue=complex(eigenvalue), label=label)
+
+
+def find_fiducial(d, restarts=20, seed=0, target=1e-16):
+    """Seeded multistart search for a SIC fiducial (_lm_restarts).
+
+    The first restart reaching the target defect wins. The same (d, seed)
+    gives the same ray; its last bits may depend on heap state, because
+    scipy's LM step does (ROADMAP item 1).
+    """
+    for t, (defect, ray) in zip(range(restarts), _lm_restarts(d, seed, 6000)):
+        if defect <= target:
+            return _recipe_fiducial(d, ray(), f"dim{d}-seed{seed}-try{t}")
     raise SearchFailed(f"no defect <= {target:g} fiducial in {restarts} restarts")
 
 
-def sector_fiducials(d, zauner, eigenvalue, tries=400, seed=17):
-    """All distinct fiducial rays in one symmetry eigenspace.
+def sector_fiducials(d, tries=400, seed=17):
+    """All distinct fiducial rays in the eigenspace of d's recipe.
 
-    Found by clustering seeded multistart solves; gauge-fixed and sorted by
-    their rounded coordinates so the enumeration is reproducible.
+    Found by clustering seeded multistart solves (_lm_restarts); gauge-fixed
+    and sorted by their rounded coordinates so the enumeration is
+    reproducible.
     """
-    B = symmetry_eigenspace(d, zauner, eigenvalue)
-    resid, npar = _defect_residuals(B, d, real_coeffs=False)
-    rng = np.random.default_rng(seed)
-    nb = B.shape[1]
     found = []
-    for _ in range(tries):
-        r = least_squares(resid, rng.normal(size=npar), method="lm",
-                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-        if float(np.sum(r.fun ** 2)) < 1e-24:
-            psi = gauge_normalize(B @ (r.x[:nb] + 1j * r.x[nb:]))
+    for _, (defect, ray) in zip(range(tries), _lm_restarts(d, seed, 4000)):
+        if defect < 1e-24:
+            psi = ray()
             if not any(abs(abs(np.vdot(psi, q)) - 1) < 1e-8 for q in found):
                 found.append(psi)
     keyed = sorted((tuple(np.round(np.stack([v.real, v.imag], -1).ravel(), 9)), v)
                    for v in found)
-    return [SicFiducial(d=d, vector=v, symmetry=np.asarray(zauner) % d,
-                        symmetry_eigenvalue=eigenvalue,
-                        label=f"dim{d}-sector{k}")
+    return [_recipe_fiducial(d, v, f"dim{d}-sector{k}")
             for k, (_, v) in enumerate(keyed)]
 
 
-def _table_invariant_under(table, F, tol):
+def _table_image(table, F):
+    """table[F p] at every grid point p, indices mod d."""
     d = table.shape[0]
-    F = np.asarray(F, dtype=int) % d
-    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    fi = (F[0, 0] * i + F[0, 1] * j) % d
-    fj = (F[1, 0] * i + F[1, 1] * j) % d
-    return np.abs(table[fi, fj] - table).max() <= tol
+    (a, b), (c, e) = np.asarray(F, dtype=int) % d
+    i, j = np.ogrid[:d, :d]
+    return table[(a * i + b * j) % d, (c * i + e * j) % d]
+
+
+def _table_invariant_under(table, F, tol):
+    return np.abs(_table_image(table, F) - table).max() <= tol
 
 
 def _table_maps(src, dst, tol):

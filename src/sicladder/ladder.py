@@ -40,8 +40,8 @@ from .clifford import (eigenspace_basis, fix_phase_principal,
 from .errors import (AlignmentRequired, BadPairing, DimensionMismatch,
                      NoMatchingPhase, NotASic, ParamCountMismatch,
                      SicladderError)
-from .fiducials import (_table_maps, detect_scalar_symmetry, overlap_phases,
-                        verify_sic)
+from .fiducials import (_table_image, _table_maps, detect_scalar_symmetry,
+                        overlap_phases, verify_sic)
 from .frames import covariant_generator
 from .heisenberg import (_phase_gather, crt_index, crt_to_tensor, wh_orbit,
                          wh_traces)
@@ -129,7 +129,6 @@ def lift_fiducial(f):
 class GeneralizedParity:
     d: int
     matrix: np.ndarray
-    source: str = ""
     dual_deviation: float = 0.0
 
 
@@ -156,7 +155,7 @@ def generalized_parity(f):
     dev = float(np.abs(P - P2).max())
     if not dev <= 1e-9:
         raise SicladderError(f"generalized-parity routes disagree by {dev:.3e}")
-    return GeneralizedParity(d=d, matrix=P, source=f.label, dual_deviation=dev)
+    return GeneralizedParity(d=d, matrix=P, dual_deviation=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +385,6 @@ class ProtoFamily:
         return (np.array(arg), np.array(mult, dtype=complex),
                 *(np.array(x, dtype=np.intp) for x in (polar, su2, scale, scaled)), k)
 
-    @property
-    def pairing(self):
-        out = []
-        for bid, (fi, ei) in enumerate(self.blocks):
-            for a in fi:
-                for b in ei:
-                    out.append((a, b, bid))
-        return out
-
 
 def make_pairing(f_basis, e_basis, target_exponent):
     """Pair label groups so each product hits the target; sorted by f label."""
@@ -505,10 +495,11 @@ def verify_alignment(psi, theta_table, tol=1e-8):
 
     The unit condition is direct. For the phase condition the big-side
     overlaps at (1, 0) and (0, 1) are matched against the targets
-    -e^{2 i theta} (fiducials._table_maps); since the condition reads
-    M (kappa i, j), the first matched column is scaled by kappa^{-1} mod d.
-    Candidates of determinant +-1 mod d are checked on every p != 0 and the
-    lexicographically smallest full match is reported.
+    -e^{2 i theta} (fiducials._table_maps). The condition reads
+    M (kappa i, j), which is F (i, j) for the matched F, so M is F with its
+    first column scaled by kappa^{-1} mod d. Candidates with M of
+    determinant +-1 mod d are checked with F on every p != 0 and the
+    lexicographically smallest full match M is reported.
     """
     d = theta_table.d
     n1 = d - 2
@@ -519,23 +510,18 @@ def verify_alignment(psi, theta_table, tol=1e-8):
     err_unit = _unit_condition_error(A, d)
 
     big = (d - 1) * wh_traces(A.T @ A.conj())
-    kappa = (d - 1) // 2
-    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    u0, u1 = (kappa * i) % d, j
     targets = -(theta_table.phases ** 2)
     mask = np.ones((d, d), dtype=bool)
     mask[0, 0] = False
 
     found, err_phase = None, np.inf
-    kappa_inv = pow(kappa, -1, d)
+    kappa_inv = pow((d - 1) // 2, -1, d)
     for F in _table_maps(big, targets, tol):
         M = (F * [[kappa_inv, 1]]) % d
         det = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) % d
         if det != 1 and det != d - 1:
             continue
-        mi = (M[0, 0] * u0 + M[0, 1] * u1) % d
-        mj = (M[1, 0] * u0 + M[1, 1] * u1) % d
-        err = np.abs(big - targets[mi, mj])[mask].max()
+        err = np.abs(big - _table_image(targets, F))[mask].max()
         if err <= tol and (found is None or tuple(M.ravel()) < tuple(found.ravel())):
             found, err_phase = M, float(err)
     return AlignmentCertificate(

@@ -18,9 +18,8 @@ from scipy.optimize import minimize as _scipy_minimize
 from . import ladder
 from .clifford import canonical_order3, order3_elements
 from .errors import BadPairing, NotASic, SicladderError, WrongCount
-from .fiducials import (SicFiducial, default_symmetry, detect_order3_symmetry,
-                        find_fiducial, overlap_phases, sector_fiducials,
-                        sic_defect, verify_sic)
+from .fiducials import (SicFiducial, detect_order3_symmetry, find_fiducial,
+                        overlap_phases, sector_fiducials, sic_defect, verify_sic)
 from .heisenberg import crt_index, displaced_vector
 
 
@@ -365,8 +364,7 @@ def select_source_by_phase(seed=0, tries=60, restarts=8):
     deterministically and return the first fiducial whose climb lands on
     the frozen constant.
     """
-    zauner, eigenvalue = default_symmetry(5)
-    cands = sector_fiducials(5, zauner, eigenvalue, tries=tries, seed=seed)
+    cands = sector_fiducials(5, tries=tries, seed=seed)
     # small iteration cap: the one-parameter family converges in ~50 steps,
     # and restarts stuck on flat local minima should not burn the budget
     cfg = SearchConfig(restarts=restarts, max_iters=2000, seed=seed)
@@ -379,16 +377,9 @@ def select_source_by_phase(seed=0, tries=60, restarts=8):
 
 
 def default_source(d, seed=0, restarts=40):
-    """Default climb source per dimension: the canonical phase class at
-    d=5, a real fiducial at d=7 (enables conjugate pairing), the
-    eigenvalue-1 fiducial of the standard symmetry at d=9."""
+    """Default climb source per dimension: the canonical phase class at d=5
+    (select_source_by_phase), else the first fiducial of the per-dimension
+    search recipe (find_fiducial, fiducials.default_symmetry)."""
     if d == 5:
         return select_source_by_phase(seed=seed)
-    if d == 7:
-        zauner, eigenvalue = default_symmetry(7)
-        return find_fiducial(7, zauner, eigenvalue, restarts=restarts, seed=seed,
-                             real_coeffs=True)
-    if d == 9:
-        zauner, eigenvalue = default_symmetry(9)
-        return find_fiducial(9, zauner, eigenvalue, restarts=restarts, seed=seed)
-    raise SicladderError(f"no default source recipe for dimension {d}")
+    return find_fiducial(d, restarts=restarts, seed=seed)

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from sicladder import fiducials as fid
 from sicladder.clifford import (canonical_order3, symplectic_unitary,
                                 zauner_matrix_standard)
-from sicladder.errors import BadDimension, NotASic, SearchFailed
+from sicladder.errors import BadDimension, NotASic, RankDeficient, SearchFailed
 from sicladder.heisenberg import displacement
 
 W3 = np.exp(2j * np.pi / 3)
@@ -232,19 +233,19 @@ class TestSearch:
     def test_unsupported_dimension(self):
         with pytest.raises(BadDimension):
             fid.find_fiducial(11)
+        with pytest.raises(BadDimension):
+            fid.default_symmetry(11)
 
     def test_exhausted_restarts(self):
         with pytest.raises(SearchFailed):
             fid.find_fiducial(5, restarts=1, seed=0, target=1e-40)
 
     def test_eigenspace_census_d5(self):
-        rays = fid.sector_fiducials(5, zauner_matrix_standard(5), W3,
-                                    tries=150, seed=17)
+        rays = fid.sector_fiducials(5, tries=150, seed=17)
         assert len(rays) == 4
 
     def test_census_rays_are_distinct_sics(self):
-        rays = fid.sector_fiducials(5, zauner_matrix_standard(5), W3,
-                                    tries=150, seed=17)
+        rays = fid.sector_fiducials(5, tries=150, seed=17)
         assert len(rays) == 4
         for f in rays:
             assert fid.verify_sic(f, tol=1e-8)
@@ -252,6 +253,101 @@ class TestSearch:
             for b in range(a + 1, 4):
                 ov = abs(np.vdot(rays[a].vector, rays[b].vector))
                 assert ov < 1 - 1e-6
+
+
+# Verbatim copies of the searches as they were before find_fiducial and
+# sector_fiducials shared one restart loop (fiducials._lm_restarts), each
+# called with the arguments its callers passed: the recipe's symmetry,
+# eigenvalue and coefficient field.
+
+def seed_default_symmetry(d):
+    """Search symmetry and eigenvalue used for fiducial hunting at small d."""
+    if d == 5:
+        return zauner_matrix_standard(5), np.exp(2j * np.pi / 3)
+    if d == 7:
+        return canonical_order3(7), 1.0 + 0j
+    if d == 9:
+        return zauner_matrix_standard(9), 1.0 + 0j
+    raise BadDimension(f"no default symmetry for d={d}")
+
+
+def seed_search_basis(d, zauner, eigenvalue, real_coeffs):
+    B = fid.symmetry_eigenspace(d, zauner, eigenvalue)
+    if not real_coeffs:
+        return B
+    Br, R = np.linalg.qr(np.real(B))
+    if np.abs(np.diag(R)).min() < 1e-8:
+        raise RankDeficient("eigenspace has no real form to search")
+    return Br
+
+
+def seed_find_fiducial(d, zauner=None, eigenvalue=None, restarts=20, seed=0,
+                       real_coeffs=False, target=1e-16):
+    if d not in (5, 7, 9):
+        raise BadDimension(f"fiducial search supports d in (5, 7, 9), got {d}")
+    if zauner is None or eigenvalue is None:
+        zdef, edef = seed_default_symmetry(d)
+        zauner = zdef if zauner is None else zauner
+        eigenvalue = edef if eigenvalue is None else eigenvalue
+    B = seed_search_basis(d, zauner, eigenvalue, real_coeffs)
+    resid, npar = fid._defect_residuals(B, d, real_coeffs)
+    rng = np.random.default_rng(seed)
+    nb = B.shape[1]
+    for t in range(restarts):
+        r = least_squares(resid, rng.normal(size=npar), method="lm",
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=6000)
+        dv = float(np.sum(r.fun ** 2))
+        if dv <= target:
+            psi = B @ (r.x if real_coeffs else r.x[:nb] + 1j * r.x[nb:])
+            psi = fid.gauge_normalize(psi)
+            return fid.SicFiducial(d=d, vector=psi, symmetry=np.asarray(zauner) % d,
+                                   symmetry_eigenvalue=complex(eigenvalue),
+                                   label=f"dim{d}-seed{seed}-try{t}")
+    raise SearchFailed(f"no defect <= {target:g} fiducial in {restarts} restarts")
+
+
+def seed_sector_fiducials(d, zauner, eigenvalue, tries=400, seed=17):
+    B = fid.symmetry_eigenspace(d, zauner, eigenvalue)
+    resid, npar = fid._defect_residuals(B, d, real_coeffs=False)
+    rng = np.random.default_rng(seed)
+    nb = B.shape[1]
+    found = []
+    for _ in range(tries):
+        r = least_squares(resid, rng.normal(size=npar), method="lm",
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
+        if float(np.sum(r.fun ** 2)) < 1e-24:
+            psi = fid.gauge_normalize(B @ (r.x[:nb] + 1j * r.x[nb:]))
+            if not any(abs(abs(np.vdot(psi, q)) - 1) < 1e-8 for q in found):
+                found.append(psi)
+    keyed = sorted((tuple(np.round(np.stack([v.real, v.imag], -1).ravel(), 9)), v)
+                   for v in found)
+    return [fid.SicFiducial(d=d, vector=v, symmetry=np.asarray(zauner) % d,
+                            symmetry_eigenvalue=eigenvalue,
+                            label=f"dim{d}-sector{k}")
+            for k, (_, v) in enumerate(keyed)]
+
+
+def assert_same_fiducials(new, old):
+    """Same labels, symmetries and rays; not bits, which scipy's LM step
+    lets depend on heap state (LM_HEAP_FAULT)."""
+    assert [f.label for f in new] == [f.label for f in old]
+    for a, b in zip(new, old):
+        assert np.array_equal(a.symmetry, b.symmetry)
+        assert a.symmetry_eigenvalue == b.symmetry_eigenvalue
+        assert abs(np.vdot(a.vector, b.vector)) >= 1 - 1e-12
+
+
+class TestSearchMatchesSeed:
+    @pytest.mark.parametrize("d", (5, 7, 9))
+    def test_find_fiducial(self, d):
+        zauner, eigenvalue = seed_default_symmetry(d)
+        old = seed_find_fiducial(d, zauner, eigenvalue, seed=0, real_coeffs=d == 7)
+        assert_same_fiducials([fid.find_fiducial(d, seed=0)], [old])
+
+    def test_sector_fiducials_as_the_phase_selection_calls_it(self):
+        old = seed_sector_fiducials(5, zauner_matrix_standard(5), W3, tries=60, seed=0)
+        assert len(old) == 4
+        assert_same_fiducials(fid.sector_fiducials(5, tries=60, seed=0), old)
 
 
 class TestSymmetryDetection:

@@ -5,7 +5,8 @@ __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
 when it is read anywhere in the module outside the import statements
 themselves; a private definition counts as read when its name is read
-anywhere in the package outside the definition itself.
+anywhere in the package outside the definition itself. And scipy's
+least_squares is called at one site only.
 """
 import ast
 from pathlib import Path
@@ -60,3 +61,13 @@ def test_private_definitions_are_read(path):
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in elsewhere | _read_names(tree, skip=node)]
     assert not unread, f"{path.stem} defines {unread} and never reads them"
+
+
+def test_one_least_squares_call_site():
+    # the fiducial searches share one LM restart loop (fiducials._lm_restarts),
+    # the single place a change to the LM step has to touch
+    calls = [f"{path.stem}:{node.lineno}" for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "least_squares"]
+    assert len(calls) == 1, calls

@@ -206,7 +206,7 @@ class TestProtoFamily:
         psi = lad.build_proto(fam5, [0.0])
         A = lad.to_tensor(psi, 5)
         expect = np.zeros((3, 5), dtype=complex)
-        for fi, ei, _ in fam5.pairing:
+        for (fi,), (ei,) in fam5.blocks:
             expect += np.outer(fam5.f_basis.vectors[:, fi],
                                fam5.e_basis.vectors[:, ei]) / np.sqrt(2)
         assert np.abs(A - expect).max() < 1e-12
