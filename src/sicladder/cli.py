@@ -389,10 +389,14 @@ def build_parser():
                    help="sweep every order-3 generator choice, keeping empty branches")
     q.add_argument("--conjugate-pairing", action="store_true",
                    help="one-parameter conjugate family (needs three singleton blocks)")
-    q.add_argument("--restarts", type=int, default=20)
+    q.add_argument("--restarts", type=int, default=20,
+                   help="Nelder-Mead restarts per branch; one-parameter families"
+                        " (5 -> 15, --conjugate-pairing) are solved exactly and"
+                        " ignore it")
     q.add_argument("--max-iters", type=int, default=None,
                    help="simplex iteration cap per restart (default 8000 when the"
-                        " step has order-6 labels, 3000 otherwise)")
+                        " step has order-6 labels, 3000 otherwise); ignored by"
+                        " one-parameter families")
     q.add_argument("--seed", type=int, default=_default_seed())
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_climb)

@@ -1,12 +1,14 @@
-"""Seeded derivative-free search over proto families, with the frozen
-phase laws for the known climbs and the branch-sweeping climb driver.
+"""Search over proto families, with the frozen phase laws for the known
+climbs and the branch-sweeping climb driver.
 
 The defect of a unit vector is sum_{p != 0} (|<psi|D_p|psi>|^2 - 1/(N+1))^2
-in its own dimension N. For a proto vector the overlaps along the two
-factor subgroups hold identically (the alignment conditions), so the
-search objective may drop them and, optionally, keep only a fixed sample
-of the remaining terms (term_budget); the full defect is always recomputed
-for reporting.
+in its own dimension N. Along a one-parameter family it is a trigonometric
+polynomial of low degree in the parameter, and minimize solves it in closed
+form. Larger families get a seeded multistart Nelder-Mead. For a proto
+vector the overlaps along the two factor subgroups hold identically (the
+alignment conditions), so that search objective may drop them and,
+optionally, keep only a fixed sample of the remaining terms (term_budget);
+the full defect is always recomputed for reporting.
 """
 import functools
 import time
@@ -26,7 +28,11 @@ from .heisenberg import crt_index, displaced_vector
 @dataclass
 class SearchConfig:
     """Multistart search settings. max_iters and term_budget left at None
-    take the defaults of the family's label order (ROUTE_DEFAULTS)."""
+    take the defaults of the family's label order (ROUTE_DEFAULTS).
+
+    One-parameter families are solved in closed form (minimize), which
+    reads target_defect alone: restarts, max_iters, seed and term_budget
+    apply to the Nelder-Mead search of larger families only."""
     restarts: int = 20
     max_iters: int = None
     target_defect: float = 1e-16
@@ -45,8 +51,8 @@ class SearchResult:
     params: np.ndarray
     defect_partial: float
     defect_full: float
-    iterations: int
-    seed_used: int    # restart index within the config's seed stream
+    iterations: int   # 0 from the closed-form solve
+    seed_used: int    # restart index within the config's seed stream; 0 from the solve
 
 
 @functools.lru_cache(maxsize=16)
@@ -83,16 +89,78 @@ def _partial_defect(psi, terms, N):
     return tot
 
 
-def minimize(family, cfg):
-    """Multistart Nelder-Mead over the family parameters.
+def _critical_points(family, N):
+    """Every critical point of the defect along a one-parameter family, as
+    (params, psi, defect) with the defect recomputed in full.
 
-    Results are the restarts that reached cfg.target_defect in full defect,
-    deduplicated by ray equality and sorted by defect_full ascending.
-    Identical configs give identical outputs; each restart draws its start
-    from its own seeded stream.
+    psi(s) has the frequencies coefficient_plan[1].imag, so each overlap is
+    a trigonometric polynomial of degree at most their span S and the defect
+    one of degree K <= 4S. Its 2K + 1 equispaced samples (one build_proto
+    call each) give its coefficients c_k by FFT; the critical points are the
+    unit-modulus roots of z^K D'(z) = sum_k i k c_k z^(k+K), each polished
+    by two Newton steps on D'. The interpolant only proposes candidates:
+    every defect returned is sic_defect of the rebuilt vector.
+
+    Coefficients at roundoff level are zeroed first: the true degree may be
+    below K, and a roundoff-sized leading coefficient would put a root near
+    infinity and cost the others their accuracy. The modulus window is wide
+    enough for a root of multiplicity 4 split by roundoff; a root off the
+    circle only adds a candidate that fails the defect check.
     """
-    npar = family.n_params
+    freq = family.coefficient_plan[1].imag
+    K = 4 * int(round(freq.max() - freq.min()))
+    M = 2 * K + 1
+    c = np.fft.fft([sic_defect(ladder.build_proto(family, [2 * np.pi * m / M]), N)
+                    for m in range(M)]) / M
+    c[abs(c) <= 1e-12 * abs(c).max()] = 0
+    k = np.r_[:K + 1, -K:0]    # the frequency of each FFT bin
+    high = np.argsort(k)[::-1]
+    z = np.roots(1j * k[high] * c[high])
+    sigma = np.angle(z[abs(abs(z) - 1) <= 1e-3])
+    for _ in range(2):
+        e = np.exp(1j * np.outer(sigma, k))
+        sigma = sigma - (e @ (1j * k * c)).real / (e @ (-k * k * c)).real
+    out = []
+    for s in sigma:
+        params = ladder.canonical_params(family, [s])
+        psi = ladder.build_proto(family, params)
+        out.append((params, psi, sic_defect(psi, N)))
+    return out
+
+
+def minimize(family, cfg):
+    """The family members that reach cfg.target_defect in full defect,
+    deduplicated by ray equality and sorted by defect_full ascending.
+
+    A one-parameter family is solved in closed form (_critical_points): the
+    results are all its members at or below the target, with seed_used 0,
+    iterations 0 and defect_partial equal to defect_full, so an empty list
+    shows that none exists. restarts, max_iters, seed and term_budget do not
+    apply there.
+    Larger families get multistart Nelder-Mead: identical configs give
+    identical outputs, and each restart draws its start from its own seeded
+    stream.
+    """
     N = family.d * (family.d - 2)
+    if family.n_params == 1:
+        raw = [(SearchResult(params=params, defect_partial=full, defect_full=full,
+                             iterations=0, seed_used=0), psi)
+               for params, psi, full in _critical_points(family, N)
+               if full <= cfg.target_defect]
+    else:
+        raw = _nelder_mead(family, cfg, N)
+    raw.sort(key=lambda z: z[0].defect_full)
+    kept = []
+    for res, psi in raw:
+        if not any(abs(np.vdot(psi, q)) > 1 - 1e-8 for _, q in kept):
+            kept.append((res, psi))
+    return [res for res, _ in kept]
+
+
+def _nelder_mead(family, cfg, N):
+    """The (result, vector) pairs of the restarts that reached
+    cfg.target_defect in full defect."""
+    npar = family.n_params
     max_iters, budget = ROUTE_DEFAULTS[family.f_basis.order]
     if cfg.max_iters is not None:
         max_iters = cfg.max_iters
@@ -131,12 +199,7 @@ def minimize(family, cfg):
             raw.append((SearchResult(params=params, defect_partial=part,
                                      defect_full=full, iterations=int(r.nit),
                                      seed_used=t), psi))
-    raw.sort(key=lambda z: z[0].defect_full)
-    kept = []
-    for res, psi in raw:
-        if not any(abs(np.vdot(psi, q)) > 1 - 1e-8 for _, q in kept):
-            kept.append((res, psi))
-    return [res for res, _ in kept]
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +418,17 @@ def promote_solution(psi, d, label=""):
     return f
 
 
-def select_source_by_phase(seed=0, tries=60, restarts=8):
+def select_source_by_phase(seed=0, tries=60):
     """The canonical dimension-5 climb source.
 
     The relevant eigenspace holds four fiducials; two of them give the
     frozen phase constant in the one-parameter climb and two give its
     conjugate (the families are mirror images). Enumerate the sector
     deterministically and return the first fiducial whose climb lands on
-    the frozen constant.
+    the frozen constant. The climbs are closed-form solves (minimize).
     """
-    cands = sector_fiducials(5, tries=tries, seed=seed)
-    # small iteration cap: the one-parameter family converges in ~50 steps,
-    # and restarts stuck on flat local minima should not burn the budget
-    cfg = SearchConfig(restarts=restarts, max_iters=2000, seed=seed)
-    for f in cands:
-        out = climb(f, cfg=cfg)
+    for f in sector_fiducials(5, tries=tries, seed=seed):
+        out = climb(f)
         for res, _ in out.solutions:
             if check_known_phase_5(res.params[0])[0]:
                 return f

@@ -4,12 +4,16 @@ Session scoped because the searches, while fast, are not free; every test
 that needs a SIC shares these instances. Seeds are fixed so the whole suite
 is deterministic.
 """
-import numpy as np
+from pathlib import Path
+
 import pytest
 
+from sicladder import cli
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import canonical_order3
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +40,15 @@ def fam5(f5):
 
 
 @pytest.fixture(scope="session")
+def fam35(f7):
+    # the plain 7 -> 35 family: three singleton blocks, two phases, so
+    # minimize searches it with Nelder-Mead
+    P = lad.generalized_parity(f7)
+    e_b, f_b = lad.paired_bases(f7, canonical_order3(5), P)
+    return lad.make_proto_family(f7, e_b, f_b, 0)
+
+
+@pytest.fixture(scope="session")
 def climb15(f5):
     out = opt.climb(f5, cfg=opt.SearchConfig(restarts=12, max_iters=2000, seed=0))
     assert out.solutions, "the 5 -> 15 step found nothing; later fixtures depend on it"
@@ -43,8 +56,13 @@ def climb15(f5):
 
 
 @pytest.fixture(scope="session")
-def f15(climb15):
-    return opt.promote_solution(climb15.solutions[0][1], 15, label="dim15")
+def f15():
+    # one of the three 5 -> 15 rays, pinned by file: criterion 10's 195
+    # search converges from this one, and the three rays' defects tie to
+    # roundoff, so which of them a climb lists first is not stable
+    # (test_optimizer.py checks that the climb finds this ray)
+    _, _, f = cli.load_artifact(str(INPUTS / "f15.json"))
+    return opt.promote_solution(f.vector, 15, label="dim15")
 
 
 @pytest.fixture(scope="session")

@@ -92,27 +92,49 @@ def test_worker_command_lines_parse(tmp_path):
     parser.parse_args(["verify", "--input", str(tmp_path / "f9.json")])
 
 
-@pytest.mark.parametrize("term_budget", [None, 9])
-def test_each_evaluation_is_one_build_proto_call(fam5, monkeypatch, term_budget):
-    # run.py reads optimizer.evals as the build_proto calls inside minimize:
-    # one per objective evaluation plus the final rebuild of the restart's
-    # result; an inlined proto build would read as zero evaluations
-    calls, results = [0], []
-    build_proto, scipy_minimize = ladder.build_proto, optimizer._scipy_minimize
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name in every sicladder namespace that
+    holds it, like spans.Tracer.install."""
+    calls, fn = [0], getattr(module, name)
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return build_proto(*args, **kwargs)
+        return fn(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "sicladder" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("term_budget", [None, 9])
+def test_each_evaluation_is_one_build_proto_call(fam35, monkeypatch, term_budget):
+    # run.py reads optimizer.evals as the build_proto calls inside minimize:
+    # one per objective evaluation plus the final rebuild of the restart's
+    # result; an inlined proto build would read as zero evaluations. The
+    # plain 7 -> 35 family has two parameters, so minimize runs Nelder-Mead
+    results = []
+    scipy_minimize = optimizer._scipy_minimize
 
     def recording(*args, **kwargs):
         results.append(scipy_minimize(*args, **kwargs))
         return results[-1]
-    # like spans.Tracer.install: every namespace that holds the function
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "sicladder" and getattr(mod, "build_proto", None) is build_proto:
-            monkeypatch.setattr(mod, "build_proto", counting)
+    calls = _count_calls(monkeypatch, ladder, "build_proto")
     monkeypatch.setattr(optimizer, "_scipy_minimize", recording)
     cfg = optimizer.SearchConfig(restarts=1, max_iters=40, term_budget=term_budget)
-    optimizer.minimize(fam5, cfg)
+    optimizer.minimize(fam35, cfg)
     assert len(results) == 1, "the polish pass ran; shorten the cap"
     assert calls[0] == results[0].nfev + 1 > 1
+
+
+def test_closed_form_evaluations_are_samples_plus_candidates(fam5, monkeypatch):
+    # a one-parameter family is solved, not searched: 2K + 1 = 9 samples of
+    # its degree-4 defect bound, then one rebuild per critical point; the
+    # defect a + 2|b| cos(3s - phi) has three minima and three maxima
+    def no_search(*args, **kwargs):
+        raise AssertionError("Nelder-Mead ran on a one-parameter family")
+    calls = _count_calls(monkeypatch, ladder, "build_proto")
+    candidates = _count_calls(monkeypatch, ladder, "canonical_params")
+    monkeypatch.setattr(optimizer, "_scipy_minimize", no_search)
+    optimizer.minimize(fam5, optimizer.SearchConfig())
+    assert candidates[0] == 6
+    assert calls[0] == 9 + candidates[0]

@@ -8,8 +8,8 @@ from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
-from sicladder.clifford import canonical_order3
-from sicladder.errors import NotASic, SicladderError, WrongCount
+from sicladder.clifford import canonical_order3, order3_elements
+from sicladder.errors import BadPairing, NotASic, SicladderError, WrongCount
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -86,16 +86,94 @@ class TestMinimize:
                                                   seed=0, target_defect=1e-10))
         assert res == []
 
-    def test_term_budget_soundness(self, fam5_solving):
-        res = opt.minimize(fam5_solving,
+    def test_term_budget_soundness(self, fam35):
+        # two parameters: the truncated Nelder-Mead objective, then the polish
+        res = opt.minimize(fam35,
                            opt.SearchConfig(restarts=12, max_iters=2000, seed=3,
                                             term_budget=2))
         assert res
         for r in res:
-            psi = lad.build_proto(fam5_solving, r.params)
-            assert abs(fid.sic_defect(psi, 15) - r.defect_full) <= 1e-14
+            psi = lad.build_proto(fam35, r.params)
+            assert abs(fid.sic_defect(psi, 35) - r.defect_full) <= 1e-14
             if r.defect_partial <= 1e-18:
                 assert r.defect_full <= 1e-10
+
+
+def _conjugate_family(f7):
+    # the climb's conjugate 7 -> 35 family: the first pairing into three
+    # singleton blocks, over the canonical generator and its square
+    P = lad.generalized_parity(f7)
+    G = canonical_order3(5)
+    for F in (G, (G @ G) % 5):
+        e_b, f_b = lad.paired_bases(f7, F, P)
+        for t in lad.feasible_targets(f_b, e_b):
+            try:
+                return lad.make_proto_family(f7, e_b, f_b, t, conjugate=True)
+            except BadPairing:
+                continue
+    raise AssertionError("no conjugate family")
+
+
+@pytest.fixture(scope="module")
+def one_parameter_families(f5, f7):
+    """(generator, family, N): every branch of the d = 5 census, then the
+    conjugate 7 -> 35 family (generator None)."""
+    P = lad.generalized_parity(f5)
+    out = []
+    for F in order3_elements(3):
+        e_b, f_b = lad.paired_bases(f5, F, P)
+        for t in lad.feasible_targets(f_b, e_b):
+            out.append((tuple(F.ravel().tolist()), lad.make_proto_family(f5, e_b, f_b, t), 15))
+    out.append((None, _conjugate_family(f7), 35))
+    return out
+
+
+def _sampled_defect(fam, N, M):
+    return np.array([fid.sic_defect(lad.build_proto(fam, [2 * np.pi * m / M]), N)
+                     for m in range(M)])
+
+
+class TestClosedForm:
+    """The one-parameter solve against oracles that share none of its steps:
+    a finer FFT for the degree bound and a dense grid for the minimum."""
+
+    def test_degree_bound_from_the_plan(self, one_parameter_families):
+        for _, fam, N in one_parameter_families:
+            freq = fam.coefficient_plan[1].imag
+            K = 4 * int(round(freq.max() - freq.min()))
+            assert K == (8 if fam.conjugate else 4)
+            M = 4 * K + 1
+            c = np.fft.fft(_sampled_defect(fam, N, M)) / M
+            k = np.abs(np.fft.fftfreq(M, 1 / M))
+            assert np.abs(c[k > K]).max() <= 1e-12 * np.abs(c).max()
+
+    def test_no_grid_point_below_the_solved_minimum(self, one_parameter_families):
+        for _, fam, N in one_parameter_families:
+            low = min(full for _, _, full in opt._critical_points(fam, N))
+            assert _sampled_defect(fam, N, 4096).min() >= low - 1e-12
+
+    def test_census_minima(self, one_parameter_families):
+        # four generators hold three zeros each; the other four are empty,
+        # with a minimum defect of about 0.195 (a gap, not a budget run out)
+        mins = {}
+        for gen, fam, N in one_parameter_families:
+            if gen is None:
+                continue
+            fulls = [full for _, _, full in opt._critical_points(fam, N)]
+            mins[gen] = min(mins.get(gen, np.inf), min(fulls))
+            if min(fulls) <= 1e-16:
+                assert len(opt.minimize(fam, opt.SearchConfig())) == 3
+        assert len(mins) == 8
+        assert sorted(m >= 0.19 for m in mins.values()) == [False] * 4 + [True] * 4
+        assert all(m <= 1e-16 or m >= 0.19 for m in mins.values())
+
+    def test_rays_include_the_committed_source(self, climb15):
+        # the chain 5 -> 15 -> 195: the committed d = 15 source, from which
+        # criterion 10 climbs, is one of the climb's three rays
+        _, _, f15 = cli.load_artifact(str(INPUTS / "f15.json"))
+        assert len(climb15.solutions) == 3
+        assert max(abs(np.vdot(f15.vector, v))
+                   for _, v in climb15.solutions) >= 1 - 1e-12
 
 
 class TestCanonicalize:
@@ -113,13 +191,9 @@ class TestCanonicalize:
         b = lad.build_proto(fam, canon)
         assert np.abs(a - b).max() < 1e-12
 
-    def test_pure_phase_wrap(self, f7):
-        # the plain 7 -> 35 family: three singleton blocks, two phases
-        P = lad.generalized_parity(f7)
-        e_b, f_b = lad.paired_bases(f7, canonical_order3(5), P)
-        fam = lad.make_proto_family(f7, e_b, f_b, 0)
-        assert fam.n_params == 2 and fam.coefficient_plan[2].size == 0
-        canon = lad.canonical_params(fam, [7.0, -1.0])
+    def test_pure_phase_wrap(self, fam35):
+        assert fam35.n_params == 2 and fam35.coefficient_plan[2].size == 0
+        canon = lad.canonical_params(fam35, [7.0, -1.0])
         assert np.allclose(canon, [7.0 - 2 * np.pi, 2 * np.pi - 1.0])
 
 
