@@ -49,6 +49,15 @@ def fam35(f7):
 
 
 @pytest.fixture(scope="session")
+def fam35_conjugate(f7):
+    # the one-parameter family the conjugate 7 -> 35 climb solves: the same
+    # pairing with the conjugation-symmetric coefficients
+    P = lad.generalized_parity(f7)
+    e_b, f_b = lad.paired_bases(f7, canonical_order3(5), P)
+    return lad.make_proto_family(f7, e_b, f_b, 0, conjugate=True)
+
+
+@pytest.fixture(scope="session")
 def climb15(f5):
     out = opt.climb(f5, cfg=opt.SearchConfig(restarts=12, max_iters=2000, seed=0))
     assert out.solutions, "the 5 -> 15 step found nothing; later fixtures depend on it"

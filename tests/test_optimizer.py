@@ -9,7 +9,7 @@ from sicladder import fiducials as fid
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import canonical_order3, order3_elements
-from sicladder.errors import BadPairing, NotASic, SicladderError, WrongCount
+from sicladder.errors import NotASic, SicladderError, WrongCount
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -99,23 +99,8 @@ class TestMinimize:
                 assert r.defect_full <= 1e-10
 
 
-def _conjugate_family(f7):
-    # the climb's conjugate 7 -> 35 family: the first pairing into three
-    # singleton blocks, over the canonical generator and its square
-    P = lad.generalized_parity(f7)
-    G = canonical_order3(5)
-    for F in (G, (G @ G) % 5):
-        e_b, f_b = lad.paired_bases(f7, F, P)
-        for t in lad.feasible_targets(f_b, e_b):
-            try:
-                return lad.make_proto_family(f7, e_b, f_b, t, conjugate=True)
-            except BadPairing:
-                continue
-    raise AssertionError("no conjugate family")
-
-
 @pytest.fixture(scope="module")
-def one_parameter_families(f5, f7):
+def one_parameter_families(f5, fam35_conjugate):
     """(generator, family, N): every branch of the d = 5 census, then the
     conjugate 7 -> 35 family (generator None)."""
     P = lad.generalized_parity(f5)
@@ -124,7 +109,7 @@ def one_parameter_families(f5, f7):
         e_b, f_b = lad.paired_bases(f5, F, P)
         for t in lad.feasible_targets(f_b, e_b):
             out.append((tuple(F.ravel().tolist()), lad.make_proto_family(f5, e_b, f_b, t), 15))
-    out.append((None, _conjugate_family(f7), 35))
+    out.append((None, fam35_conjugate, 35))
     return out
 
 
