@@ -190,11 +190,17 @@ def cmd_climb(args):
     if not verify_sic(f, tol=PASS_TOL):
         print("error: input does not verify as a SIC fiducial", file=sys.stderr)
         return 1
-    cfg = optimizer.SearchConfig(restarts=args.restarts, seed=args.seed,
+    cfg = optimizer.SearchConfig(restarts=20 if args.restarts is None else args.restarts,
+                                 seed=args.seed,
                                  max_iters=args.max_iters)
     out = optimizer.climb(f, sector=args.sector,
                           all_generators=args.try_both_generators,
                           conjugate=args.conjugate_pairing, cfg=cfg)
+    unused = [o for o, v in (("--restarts", args.restarts),
+                             ("--max-iters", args.max_iters)) if v is not None]
+    if unused and any(b.n_params == 1 for b in out.branches):
+        print(f"note: {' and '.join(unused)} not used: one-parameter families"
+              " are solved exactly", file=sys.stderr)
 
     save_json(args.out, climb_report_payload(out, f))
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
@@ -389,13 +395,13 @@ def build_parser():
                    help="sweep every order-3 generator choice, keeping empty branches")
     q.add_argument("--conjugate-pairing", action="store_true",
                    help="one-parameter conjugate family (needs three singleton blocks)")
-    q.add_argument("--restarts", type=int, default=20,
-                   help="Nelder-Mead restarts per branch; one-parameter families"
-                        " (5 -> 15, --conjugate-pairing) are solved exactly and"
-                        " ignore it")
+    q.add_argument("--restarts", type=int, default=None,
+                   help="Nelder-Mead restarts per branch (default 20);"
+                        " one-parameter families (5 -> 15, --conjugate-pairing)"
+                        " are solved exactly and do not use it")
     q.add_argument("--max-iters", type=int, default=None,
                    help="simplex iteration cap per restart (default 8000 when the"
-                        " step has order-6 labels, 3000 otherwise); ignored by"
+                        " step has order-6 labels, 3000 otherwise); not used by"
                         " one-parameter families")
     q.add_argument("--seed", type=int, default=_default_seed())
     q.add_argument("--out", required=True)

@@ -199,6 +199,14 @@ class TestClimb:
         assert rc == 1
         assert "sixth-root" in capsys.readouterr().err
 
+    def test_unused_search_options_are_noted(self, art, tmp_path, capsys):
+        # the 5 -> 15 families have one parameter: solved, not searched
+        for extra, noted in ((["--restarts", "3"], True), ([], False)):
+            rc = cli.main(["climb", "--input", str(art / "f5.json"), *extra,
+                           "--out", str(tmp_path / "o.json")])
+            assert rc == 0
+            assert ("note: --restarts not used" in capsys.readouterr().err) == noted
+
     def test_non_sic_input_exits_one(self, tmp_path):
         p = _random_fiducial_file(tmp_path / "rand.json")
         rc = cli.main(["climb", "--input", p, "--out", str(tmp_path / "o.json")])

@@ -51,6 +51,15 @@ class TestResidualTerms:
         assert len(opt._residual_terms(3, 5, 10 ** 6)) == 192
 
 
+# two parameters, so Nelder-Mead; term_budget=2 keeps it to about 1.5 s
+NM35 = opt.SearchConfig(restarts=12, max_iters=2000, seed=3, term_budget=2)
+
+
+@pytest.fixture(scope="module")
+def sols35(fam35):
+    return opt.minimize(fam35, NM35)
+
+
 class TestMinimize:
     def test_three_distinct_solutions(self, sols5):
         assert len(sols5) == 3
@@ -86,17 +95,32 @@ class TestMinimize:
                                                   seed=0, target_defect=1e-10))
         assert res == []
 
-    def test_term_budget_soundness(self, fam35):
-        # two parameters: the truncated Nelder-Mead objective, then the polish
-        res = opt.minimize(fam35,
-                           opt.SearchConfig(restarts=12, max_iters=2000, seed=3,
-                                            term_budget=2))
-        assert res
-        for r in res:
+    def test_term_budget_soundness(self, sols35, fam35):
+        # the truncated Nelder-Mead objective, then the polish
+        assert sols35
+        for r in sols35:
             psi = lad.build_proto(fam35, r.params)
             assert abs(fid.sic_defect(psi, 35) - r.defect_full) <= 1e-14
             if r.defect_partial <= 1e-18:
                 assert r.defect_full <= 1e-10
+
+    def test_nelder_mead_determinism(self, sols35, fam35):
+        again = opt.minimize(fam35, NM35)
+        assert len(again) == len(sols35)
+        for a, b in zip(again, sols35):
+            assert np.array_equal(a.params, b.params)
+            assert a.defect_full == b.defect_full
+            assert a.seed_used == b.seed_used
+            assert a.iterations == b.iterations
+
+    def test_nelder_mead_local_minimum_certificate(self, sols35, fam35):
+        for r in sols35:
+            for i in range(fam35.n_params):
+                for delta in (-1e-6, 1e-6):
+                    p = r.params.copy()
+                    p[i] += delta
+                    probe = fid.sic_defect(lad.build_proto(fam35, p), 35)
+                    assert r.defect_full <= probe
 
 
 @pytest.fixture(scope="module")
