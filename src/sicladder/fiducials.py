@@ -13,12 +13,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .clifford import (canonical_order3, eigenspace_basis, fix_phase_to_table,
                        symplectic_unitary, zauner_matrix_standard)
 from .errors import BadDimension, NotASic, RankDeficient, SearchFailed
 from .heisenberg import overlap_table, wh_orbit
+from .minpack import least_squares
 
 
 @dataclass
@@ -164,10 +164,9 @@ def _lm_restarts(d, seed, max_nfev):
     resid, npar = _defect_residuals(B, d, real_coeffs)
     rng = np.random.default_rng(seed)
     while True:
-        r = least_squares(resid, rng.normal(size=npar), method="lm",
-                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
-        yield (float(np.sum(r.fun ** 2)),
-               functools.partial(_gauge_ray, B, r.x, real_coeffs))
+        x, fun = least_squares(resid, rng.normal(size=npar), max_nfev)
+        yield (float(np.sum(fun ** 2)),
+               functools.partial(_gauge_ray, B, x, real_coeffs))
 
 
 def _recipe_fiducial(d, vector, label):
@@ -180,8 +179,7 @@ def find_fiducial(d, restarts=20, seed=0, target=1e-16):
     """Seeded multistart search for a SIC fiducial (_lm_restarts).
 
     The first restart reaching the target defect wins. The same (d, seed)
-    gives the same ray; its last bits may depend on heap state, because
-    scipy's LM step does (ROADMAP item 1).
+    gives the same bits in every process.
     """
     for t, (defect, ray) in zip(range(restarts), _lm_restarts(d, seed, 6000)):
         if defect <= target:

@@ -155,14 +155,9 @@ class TestGaugeNormalize:
         assert np.abs(fid.gauge_normalize(g) - g).max() < 1e-14
 
 
-LM_HEAP_FAULT = (
-    "least_squares(method='lm') takes a different step for identical inputs "
-    "depending on heap state. Across two heaps (MALLOC_PERTURB_ unset and 85) "
-    "the residuals are bit-equal for equal inputs (80 of 80 shared "
-    "evaluations agreed) and the LM inputs first differ after evaluation 80. "
-    "scipy's _minpack links no BLAS, only libc math, so the step inside "
-    "scipy 1.17.1's _lmder depends on heap contents, which is consistent "
-    "with a read of uninitialized memory")
+# sha256 of find_fiducial(9, seed=0).vector as scipy 1.17.1's LM gave it on
+# a fresh heap (Python 3.11.7, numpy 2.4.6, x86-64)
+SCIPY_CLEAN_HEAP_9 = "9f865bd12a814beb66b37a920ca2e9fff501e2152005ef02c119dafd415185c1"
 
 _CHILD_SEARCH = ("import hashlib; from sicladder.fiducials import find_fiducial; "
                  "print(hashlib.sha256(find_fiducial(9, seed=0).vector.tobytes())"
@@ -194,14 +189,11 @@ class TestSearch:
         b = fid.find_fiducial(5, seed=3, restarts=10)
         assert np.array_equal(a.vector, b.vector)
 
-    # Measured (Py 3.11.7, numpy 2.4.6, scipy 1.17.1): the residual function
-    # returns the same bits for repeated inputs under this churn, but two
-    # outcomes of find_fiducial(9, seed=0) take their first different step
-    # at LM evaluation 80 (defect 1.1e-7) and then stop after 171 and 153
-    # evaluations on the same ray. With diff_step=sqrt(eps) four starts
-    # repeated over 30 churned calls each; with the default, one start
-    # differed in 13 of 30. That step would move every source's bits.
-    @pytest.mark.xfail(strict=False, reason=LM_HEAP_FAULT)
+    # scipy 1.17.1's C qrfac reads 8 bytes past the Jacobian when it
+    # recomputes the norm of the last column, so with scipy's LM two calls
+    # of find_fiducial(9, seed=0) could return different bits (one start in
+    # 13 of 30 under this churn). The package's own lmder (minpack) takes
+    # 0.0 there.
     def test_search_is_bitwise_reproducible_within_a_process(self):
         ref = fid.find_fiducial(9, seed=0).vector
         keep = []
@@ -212,15 +204,13 @@ class TestSearch:
             assert np.array_equal(fid.find_fiducial(9, seed=0).vector, ref), \
                 f"call {k + 1} after the first returned different bits"
 
-    # Deterministic form of the fault above: glibc fills new and freed heap
-    # memory from the perturb byte, and the two children return different
-    # vectors (9f865bd1... unset, 48a4a326... at 85), stable over repeats.
-    # raises= keeps a crashed child from passing as the expected failure.
+    # glibc fills new and freed heap memory from the perturb byte; with
+    # scipy's LM the two children returned different vectors (48a4a326...
+    # at 85).
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="MALLOC_PERTURB_ is a glibc malloc setting")
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=LM_HEAP_FAULT)
     def test_search_is_bitwise_reproducible_across_heaps(self):
-        assert _child_digest(None) == _child_digest(85)
+        assert _child_digest(None) == _child_digest(85) == SCIPY_CLEAN_HEAP_9
 
     def test_search_result_is_symmetric_eigenvector(self, f5):
         U = fid.fix_phase_to_table(fid.symplectic_unitary(f5.symmetry, 5), 3)
@@ -328,8 +318,8 @@ def seed_sector_fiducials(d, zauner, eigenvalue, tries=400, seed=17):
 
 
 def assert_same_fiducials(new, old):
-    """Same labels, symmetries and rays; not bits, which scipy's LM step
-    lets depend on heap state (LM_HEAP_FAULT)."""
+    """Same labels, symmetries and rays; not bits, which the seed's scipy LM
+    step lets depend on heap state (see sicladder.minpack)."""
     assert [f.label for f in new] == [f.label for f in old]
     for a, b in zip(new, old):
         assert np.array_equal(a.symmetry, b.symmetry)

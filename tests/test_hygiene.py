@@ -5,8 +5,8 @@ __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
 when it is read anywhere in the module outside the import statements
 themselves; a private definition counts as read when its name is read
-anywhere in the package outside the definition itself. And scipy's
-least_squares is called at one site only.
+anywhere in the package outside the definition itself. And the LM solve,
+minpack.least_squares, is called at one site only.
 """
 import ast
 from pathlib import Path
