@@ -155,10 +155,6 @@ class TestGaugeNormalize:
         assert np.abs(fid.gauge_normalize(g) - g).max() < 1e-14
 
 
-# sha256 of find_fiducial(9, seed=0).vector as scipy 1.17.1's LM gave it on
-# a fresh heap (Python 3.11.7, numpy 2.4.6, x86-64)
-SCIPY_CLEAN_HEAP_9 = "9f865bd12a814beb66b37a920ca2e9fff501e2152005ef02c119dafd415185c1"
-
 _CHILD_SEARCH = ("import hashlib; from sicladder.fiducials import find_fiducial; "
                  "print(hashlib.sha256(find_fiducial(9, seed=0).vector.tobytes())"
                  ".hexdigest())")
@@ -210,7 +206,7 @@ class TestSearch:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="MALLOC_PERTURB_ is a glibc malloc setting")
     def test_search_is_bitwise_reproducible_across_heaps(self):
-        assert _child_digest(None) == _child_digest(85) == SCIPY_CLEAN_HEAP_9
+        assert _child_digest(None) == _child_digest(85)
 
     def test_search_result_is_symmetric_eigenvector(self, f5):
         U = fid.fix_phase_to_table(fid.symplectic_unitary(f5.symmetry, 5), 3)
