@@ -51,7 +51,7 @@ class TestResidualTerms:
         assert len(opt._residual_terms(3, 5, 10 ** 6)) == 192
 
 
-# two parameters, so Nelder-Mead; term_budget=2 keeps it to about 1.5 s
+# two parameters, so Nelder-Mead; term_budget=2 keeps the search short
 NM35 = opt.SearchConfig(restarts=12, max_iters=2000, seed=3, term_budget=2)
 
 
