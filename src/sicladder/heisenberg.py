@@ -29,7 +29,11 @@ differently from the same product on a named array; np.abs over an array
 values, so absolute values in the searches stay scalar; a reduction over
 an F-contiguous array sums in another order (see the ladder module); and
 np.vecdot(psi, stack) calls zdotc per row, matching np.vdot row by row,
-while stack @ conj(psi) is a zgemv and sums in another order.
+while stack @ conj(psi) is a zgemv and sums in another order. One
+np.fft.ifft(rows, axis=-1) over a (d, d) array matches d one-row calls bit
+for bit, but its product with the phase table must be taken on a named
+array: in ph * (ifft(rows) * d) numpy reuses the large temporary and
+multiplies into it in place, which changed the last bit at d = 195.
 The gather tables of displaced_vector are cached on the raw (i, j): tau^d
 = 1, yet t[k + d] and t[k] differ in the last bit, so reducing i or j mod d
 would change the phase row.
@@ -102,55 +106,51 @@ def displaced_vector(psi, pairs):
 
 def wh_orbit(psi):
     """All d^2 orbit vectors D_p psi, p lexicographic in (i, j): a (d^2, d)
-    array for one vector, a (d^2, k, d) array for a (k, d) stack of them."""
+    array for one vector, a (d^2, k, d) array for a (k, d) stack of them.
+    One product per shift i, by the phase block ph[j, s] = tau^(ij + 2js)."""
     psi = np.asarray(psi)
     d = psi.shape[-1]
-    out = np.empty((d * d,) + psi.shape, dtype=complex)
+    V, r = np.atleast_2d(psi), np.arange(d)
+    out = np.empty((d * d,) + V.shape, dtype=complex)
     for i in range(d):
-        for j in range(d):
-            dest, ph = _phase_gather(d, i, j)
-            out[i * d + j][..., dest] = ph * psi
-    return out
+        ph = tau_powers(d)[(r[:, None] * (i + 2 * r)) % (2 * d)]
+        out[i * d:(i + 1) * d][..., (r + i) % d] = ph[:, None] * V
+    return out.reshape((d * d,) + psi.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _diagonal_tables(d):
+    """(idx, ph), each (d, d) and read-only: the cyclic-diagonal gather
+    idx[i, s] = (s + i) mod d and the phase ph[i, j] = tau^(ij)."""
+    r = np.arange(d)
+    idx, ph = (r + r[:, None]) % d, tau_powers(d)[(r[:, None] * r) % (2 * d)]
+    for a in (idx, ph):
+        a.setflags(write=False)
+    return idx, ph
 
 
 def _diagonal_transform(rows):
-    """out[i, j] = tau^(ij) sum_s rows[i][s] omega^(js): one inverse FFT per
-    row i. With rows[i][s] = X[s, s+i] this is tr(D_{i,j} X)."""
-    d = len(rows)
-    t = tau_powers(d)
-    out = np.empty((d, d), dtype=complex)
-    j = np.arange(d)
-    for i, c in enumerate(rows):
-        out[i] = t[(i * j) % (2 * d)] * (np.fft.ifft(c) * d)
-    return out
+    """out[i, j] = tau^(ij) sum_s rows[i, s] omega^(js) for a (d, d) array:
+    one inverse FFT along the last axis, equal bit for bit to one call per
+    row. With rows[i, s] = X[s, s+i] this is tr(D_{i,j} X)."""
+    f = np.fft.ifft(rows, axis=-1) * len(rows)   # named: see the module docstring
+    return _diagonal_tables(len(rows))[1] * f
 
 
 def wh_traces(X):
     """The trace table tr(D_{i,j} X) of a d x d matrix X, by FFT along its
     cyclic diagonals. For X = |psi><psi| it is overlap_table(psi)."""
-    d = X.shape[0]
-    s = np.arange(d)
-    return _diagonal_transform(X[s, (s + s[:, None]) % d])
+    d = len(X)
+    return _diagonal_transform(X[np.arange(d), _diagonal_tables(d)[0]])
 
 
 def overlap_table(psi):
     """All overlaps <psi|D_{i,j}|psi> as a d x d array, computed by FFT.
 
     <psi|D_{i,j}|psi> = tau^(ij) sum_s conj(psi_{s+i}) psi_s omega^(js),
-    the diagonal transform of the rows conj(roll(psi, -i)) * psi.
+    the diagonal transform of the rows conj(psi[idx]) * psi.
     """
-    return _diagonal_transform([np.conj(np.roll(psi, -i)) * psi
-                                for i in range(len(psi))])
-
-
-def overlap_table_naive(psi):
-    """Same table as overlap_table, by explicit matrix elements. Oracle route."""
-    d = len(psi)
-    out = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = np.vdot(psi, displacement(d, i, j) @ psi)
-    return out
+    return _diagonal_transform(np.conj(psi[_diagonal_tables(len(psi))[0]]) * psi)
 
 
 def weyl_commutation_check(d, tol=1e-12):

@@ -4,11 +4,20 @@ import pytest
 from sicladder.errors import BadDimension, NotCoprime
 from sicladder.heisenberg import (crt_permutation, crt_split_certificate,
                                   crt_split_index, displaced_vector,
-                                  displacement, omega, overlap_table,
-                                  overlap_table_naive, tau,
+                                  displacement, omega, overlap_table, tau,
                                   weyl_commutation_check, wh_orbit)
 
 DIMS = (3, 5, 7, 9, 13, 15)
+
+
+def overlap_table_naive(psi):
+    """The overlap table by explicit matrix elements: the oracle route."""
+    d = len(psi)
+    out = np.empty((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            out[i, j] = np.vdot(psi, displacement(d, i, j) @ psi)
+    return out
 
 
 class TestDisplacement:

@@ -23,7 +23,8 @@ from sicladder.clifford import (canonical_order3, eigenspace_basis,
                                 zauner_matrix_standard)
 from sicladder.errors import (AlignmentRequired, BadPairing, NoMatchingPhase,
                               SicladderError)
-from sicladder.heisenberg import (crt_index, crt_permutation, crt_to_tensor,
+from sicladder.heisenberg import (_diagonal_tables, crt_index,
+                                  crt_permutation, crt_to_tensor,
                                   displaced_vector, displacement,
                                   overlap_table, tau_powers, wh_orbit,
                                   wh_traces)
@@ -283,6 +284,13 @@ def test_rows_are_c_contiguous_and_read_only(families, name):
     fam = families[name]
     assert fam.rows.shape == (sum(s * s for s in fam.block_sizes), fam.d * (fam.d - 2))
     assert fam.rows.flags.c_contiguous and not fam.rows.flags.writeable
+
+
+@pytest.mark.parametrize("d", (3, 9, 63))
+def test_diagonal_tables_are_read_only(d):
+    idx, ph = _diagonal_tables(d)
+    assert idx.shape == ph.shape == (d, d)
+    assert not idx.flags.writeable and not ph.flags.writeable
 
 
 def test_refined_search_history_is_unchanged(families, monkeypatch):
@@ -640,6 +648,16 @@ def seed_overlap_table(psi):
     return out
 
 
+def seed_wh_traces(X):
+    d = X.shape[0]
+    t = tau_powers(d)
+    s = np.arange(d)
+    out = np.empty((d, d), dtype=complex)
+    for i, c in enumerate(X[s, (s + s[:, None]) % d]):
+        out[i] = t[(i * s) % (2 * d)] * (np.fft.ifft(c) * d)
+    return out
+
+
 def seed_covariant_generator(blocks, d):
     M = np.empty((len(blocks) * d, d * d), dtype=complex)
     col = 0
@@ -677,7 +695,18 @@ def test_overlap_table_is_bit_identical(d):
     rng = np.random.default_rng(d)
     for _ in range(3):
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        assert np.array_equal(overlap_table(psi), seed_overlap_table(psi))
+        # the d = 7 fiducial search passes real vectors
+        for v in (psi, psi.real):
+            assert np.array_equal(overlap_table(v), seed_overlap_table(v))
+
+
+@pytest.mark.parametrize("d", (3, 5, 7, 9, 15, 35, 63, 195))
+def test_wh_traces_are_bit_identical(d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for Y in (X, X.real):
+            assert np.array_equal(wh_traces(Y), seed_wh_traces(Y))
 
 
 @pytest.mark.parametrize("d", (3, 5, 7, 9, 13, 15, 35))

@@ -343,3 +343,13 @@ class TestClimbDriver:
     def test_no_default_source_recipe(self):
         with pytest.raises(SicladderError):
             opt.default_source(11)
+
+    def test_second_63_pass_repeats_the_first(self, f9):
+        # the benchmark's rung63 gate: a second pass in one process must
+        # give the first pass's solution vectors bit for bit
+        cfg = opt.SearchConfig(restarts=1, max_iters=4000, seed=11)
+        first, second = opt.climb(f9, cfg=cfg), opt.climb(f9, cfg=cfg)
+        assert len(first.solutions) == len(second.solutions) == 1
+        for (r, v), (r2, v2) in zip(first.solutions, second.solutions):
+            assert r.params.tobytes() == r2.params.tobytes()
+            assert v.tobytes() == v2.tobytes()
