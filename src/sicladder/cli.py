@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import frames, ladder, optimizer
-from .errors import (AlignmentRequired, SearchFailed, SicladderError)
+from .errors import AlignmentRequired, NotASic, SearchFailed, SicladderError
 from .fiducials import (SicFiducial, overlap_phases, sic_defect,
                         two_design_deviation, verify_sic)
 
@@ -296,27 +296,48 @@ def _verify_one(f, source, levels, explicit, prefix=""):
     return rows
 
 
+def _naimark_row(source):
+    """The source's side of the embedded ETF: the Naimark complement of its
+    lift blocks, restricted to its span, must be a tight frame with common
+    overlap^2 1/(d-1)^2. A source that is not a SIC fails the row."""
+    d = source.d
+    try:
+        comp = frames.naimark_complement(ladder.lift_fiducial(source).blocks, d)
+    except NotASic:
+        return "etf-naimark", np.inf
+    _, coords = frames.restrict_to_span(comp)
+    cert = frames.check_tight(coords, tol=PASS_TOL)
+    return "etf-naimark", max(cert.max_deviation,
+                              abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2))
+
+
 def cmd_verify(args):
     kind, body, f = load_artifact(args.input)
     explicit = args.level != "all"
     levels = (args.level,) if explicit else ("sic", "design", "alignment", "etf")
 
-    rows = []
+    rows, source = [], None
+    if kind == "climb-report" or body.get("source") is not None:
+        source = _embedded_source(body["source"])
     if kind == "fiducial":
-        src = body.get("source") if "alignment" in levels else None
-        rows += _verify_one(f, None if src is None else _embedded_source(src),
-                            levels, explicit)
+        rows += _verify_one(f, source, levels, explicit)
     elif kind == "climb-report":
-        sf = _embedded_source(body["source"])
         for bi, b in enumerate(body["branches"]):
-            for si, sol in enumerate(b["solutions"]):
-                sub = SicFiducial(d=int(body["target_dimension"]),
-                                  vector=_unpairs(sol["vector"]))
-                rows += _verify_one(sub, sf, levels, explicit,
+            vectors = [_unpairs(sol["vector"]) for sol in b["solutions"]]
+            for si, v in enumerate(vectors):
+                sub = SicFiducial(d=int(body["target_dimension"]), vector=v)
+                rows += _verify_one(sub, source, levels, explicit,
                                     prefix=f"branch{bi}-sic{si}:")
+            if "alignment" in levels and len(vectors) == 3:
+                # three solutions of one branch: an orbit of the small side's
+                # order-3 symmetry, equidistant on the family's equator
+                held = optimizer.equator_geometry_check(vectors, source.d)
+                rows.append((f"branch{bi}:equator", 0.0 if held else np.inf))
     else:
         print(f"error: unknown artifact kind {kind!r}", file=sys.stderr)
         return 1
+    if "etf" in levels and source is not None:
+        rows.append(_naimark_row(source))
 
     if not rows:
         print("nothing to check for this artifact", file=sys.stderr)

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .errors import (BadDimension, EmptyEigenspace, NoMatchingPhase,
-                     NotCoprime, NotSymplectic, SicladderError)
+                     NotSymplectic)
 from .heisenberg import tau_powers
 from .linalg import eig_unitary
 
@@ -66,17 +66,6 @@ def symplectic_unitary(F, d):
     F1 = np.array([[0, d - 1], [1, x]])
     F2 = np.array([[(x * a + g) % d, (x * b + e) % d], [(-a) % d, (-b) % d]])
     return _closed_form(F1, d) @ _closed_form(F2, d)
-
-
-def symplectic_order(F, d, cap=10000):
-    """Smallest k >= 1 with F^k = 1 mod d."""
-    F = _as_modmatrix(F, d)
-    M = F.copy()
-    for k in range(1, cap + 1):
-        if np.array_equal(M, np.eye(2, dtype=int)):
-            return k
-        M = (M @ F) % d
-    raise SicladderError(f"order of {F.tolist()} mod {d} exceeds {cap}")
 
 
 def _expected_multiplicities(d, order):
@@ -211,56 +200,3 @@ def eigenspace_basis(U, eigenvalue, tol=1e-8):
     if not np.any(mask):
         raise EmptyEigenspace(f"no eigenvalue within {tol} of {eigenvalue}")
     return dec.eigenvectors[:, mask]
-
-
-def crt_split_symplectic(F, n1, n2):
-    """Reduce F mod n1*n2 to the pair acting on the tensor factors.
-
-    With V the index permutation of crt_permutation and q1 = n2^{-1} mod n1,
-    q2 = n1^{-1} mod n2, the factors are
-
-        F1 = [[a, n2 b], [q1 g, e]] mod n1,   F2 = [[a, n1 b], [q2 g, e]] mod n2,
-
-    and V U_F V^dag equals U_{F1} (x) U_{F2} up to global phase; that
-    operator identity is certified here to 1e-8.
-    """
-    if np.gcd(n1, n2) != 1:
-        raise NotCoprime(f"gcd({n1},{n2}) != 1")
-    N = n1 * n2
-    F = _as_modmatrix(F, N)
-    if not is_symplectic(F, N):
-        raise NotSymplectic(f"det != 1 mod {N}: {F.tolist()}")
-    a, b, g, e = int(F[0, 0]), int(F[0, 1]), int(F[1, 0]), int(F[1, 1])
-    q1, q2 = pow(n2, -1, n1), pow(n1, -1, n2)
-    F1 = np.array([[a, n2 * b], [q1 * g, e]]) % n1
-    F2 = np.array([[a, n1 * b], [q2 * g, e]]) % n2
-    from .heisenberg import crt_index
-    g = crt_index(n1, n2)
-    A = np.empty((N, N), dtype=complex)
-    A[np.ix_(g, g)] = symplectic_unitary(F, N)   # V U_F V^T
-    B = np.kron(symplectic_unitary(F1, n1), symplectic_unitary(F2, n2))
-    k = np.unravel_index(np.argmax(np.abs(B)), B.shape)
-    err = np.abs(A - (A[k] / B[k]) * B).max()
-    if not err <= 1e-8:
-        raise SicladderError(f"tensor split certificate failed: {err:.3e}")
-    return F1, F2
-
-
-def crt_glue_symplectic(F1, n1, F2, n2):
-    """Inverse of crt_split_symplectic: the unique F mod n1*n2 splitting to (F1, F2)."""
-    if np.gcd(n1, n2) != 1:
-        raise NotCoprime(f"gcd({n1},{n2}) != 1")
-    N = n1 * n2
-    F1 = _as_modmatrix(F1, n1)
-    F2 = _as_modmatrix(F2, n2)
-    q1, q2 = pow(n2, -1, n1), pow(n1, -1, n2)
-    # undo the clock-axis twist on each factor, then CRT entrywise
-    G1 = np.array([[F1[0, 0], q1 * F1[0, 1]], [n2 * F1[1, 0], F1[1, 1]]]) % n1
-    G2 = np.array([[F2[0, 0], q2 * F2[0, 1]], [n1 * F2[1, 0], F2[1, 1]]]) % n2
-    u1 = n2 * q1  # 1 mod n1, 0 mod n2
-    u2 = n1 * q2  # 0 mod n1, 1 mod n2
-    F = (u1 * G1 + u2 * G2) % N
-    chk1, chk2 = crt_split_symplectic(F, n1, n2)
-    if not (np.array_equal(chk1, F1) and np.array_equal(chk2, F2)):
-        raise SicladderError("glue/split round trip failed")
-    return F

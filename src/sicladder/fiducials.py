@@ -16,7 +16,7 @@ import numpy as np
 
 from .clifford import (canonical_order3, eigenspace_basis, fix_phase_to_table,
                        symplectic_unitary, zauner_matrix_standard)
-from .errors import BadDimension, NotASic, RankDeficient, SearchFailed
+from .errors import BadDimension, RankDeficient, SearchFailed
 from .heisenberg import overlap_table, wh_orbit
 from .minpack import least_squares
 
@@ -100,14 +100,6 @@ def two_design_deviation(f):
     sym_proj = (np.eye(d * d) + swap) / 2
     const = d * d / (d * (d + 1) / 2)
     return float(np.abs(S2 - const * sym_proj).max())
-
-
-def two_design_check(f, tol=1e-8):
-    """Whether the orbit's doubled projectors sum to the symmetric projector;
-    an equivalent restatement of being a projective 2-design."""
-    if not verify_sic(f, tol=max(tol, 1e-8)):
-        raise NotASic("two-design check requires a verified SIC")
-    return bool(two_design_deviation(f) <= tol)
 
 
 def default_symmetry(d):

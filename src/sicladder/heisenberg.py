@@ -198,10 +198,11 @@ def crt_index(n1, n2):
     """Index array g with g[r] = n2*(r mod n1) + (r mod n2).
 
     Realizes the ring isomorphism Z_{n1 n2} -> Z_{n1} x Z_{n2}: the global
-    index r sits at the row-major tensor index g[r]. For the permutation
-    matrix V of crt_permutation, V.T @ x is the gather x[g] and V @ y is the
-    scatter out[g] = y (see crt_to_tensor); both are exact, where a matmul
-    by V would cost O(N^2). Cached and read-only.
+    index r sits at the row-major tensor index g[r]. This is the CRT
+    permutation V with V[g[r], r] = 1, which the package never forms:
+    V.T @ x is the gather x[g] and V @ y is the scatter out[g] = y (see
+    crt_to_tensor); both are exact, where a matmul by V would cost O(N^2).
+    Cached and read-only.
     """
     if np.gcd(n1, n2) != 1:
         raise NotCoprime(f"gcd({n1},{n2}) != 1")
@@ -220,21 +221,6 @@ def crt_to_tensor(x, n1, n2):
     out = np.empty_like(x)
     out[crt_index(n1, n2)] = x
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def crt_permutation(n1, n2):
-    """Permutation matrix V with V[n2*(r mod n1) + (r mod n2), r] = 1.
-
-    V is unitary and V D^(n1 n2)_p V^dag is a pure tensor for every p
-    (certified in tests). Built from crt_index, which is how the package
-    applies it. Cached; treat the result as read-only.
-    """
-    g = crt_index(n1, n2)
-    V = np.zeros((len(g), len(g)))
-    V[g, np.arange(len(g))] = 1.0
-    V.setflags(write=False)
-    return V
 
 
 def crt_split_index(p, n1, n2):

@@ -2,10 +2,10 @@
 parity, paired labeled eigenbases, proto families, and alignment checking.
 
 Conventions. The big space C^{d(d-2)} is identified with C^{d-2} (x) C^d by
-the Chinese-remainder permutation V = crt_permutation(d-2, d); every vector
-this module hands out publicly lives in the global (unpermuted) indexing, so
-plain displacement operators of dimension d(d-2) act on it directly. A proto
-vector is
+the Chinese-remainder permutation V, applied as the index array
+crt_index(d-2, d); every vector this module hands out publicly lives in the
+global (unpermuted) indexing, so plain displacement operators of dimension
+d(d-2) act on it directly. A proto vector is
 
     Psi = sqrt(2/(d-1)) sum U[a,b] |f_a> (x) |e_b>
 
@@ -48,13 +48,9 @@ from .heisenberg import (_phase_gather, crt_index, crt_to_tensor, wh_orbit,
 from .linalg import eig_unitary, phase_fix_columns
 
 
-def h_matrix(d):
-    """diag(1, 2^{-1}) mod d; conjugation by it moves symmetries across the lift."""
-    return np.array([[1, 0], [0, (d + 1) // 2]])
-
-
 def h_conjugate(F, d):
-    """H^{-1} F H mod d."""
+    """H^{-1} F H mod d for H = diag(1, 2^{-1}); conjugation by H moves
+    symmetries across the lift."""
     h = (d + 1) // 2
     Hinv = np.array([[1, 0], [0, 2]])
     H = np.array([[1, 0], [0, h]])
@@ -65,37 +61,6 @@ def h_conjugate(F, d):
 # symmetric-subspace machinery
 
 
-def symmetric_reindex(d):
-    """Unitary W on C^d (x) C^d with W (D_{Hp} (x) D_{Hp}) W^dag = 1 (x) D_p.
-
-    Rows come in d blocks of size d. Basis pairs (u, v) with v - u = x are
-    relabeled (x, i) via u = x(d-1)/2 + i; the swap u <-> v fixes (x, i) up
-    to x -> -x, so symmetric/antisymmetric combinations of the x and -x
-    blocks diagonalize the exchange while the displacement action on i is
-    block-independent. Symmetric blocks come first: x = 0, then (d-1)/2
-    symmetric pairs, then the antisymmetric pairs.
-    """
-    half, kap = (d - 1) // 2, (d + 1) // 2
-    W = np.zeros((d * d, d * d), dtype=complex)
-    row = 0
-    for x in range(kap):
-        for i in range(d):
-            u, v = (x * half + i) % d, (x * kap + i) % d
-            if x == 0:
-                W[row, u * d + v] = 1.0
-            else:
-                W[row, u * d + v] += 1 / np.sqrt(2)
-                W[row, v * d + u] += 1 / np.sqrt(2)
-            row += 1
-    for x in range(1, kap):
-        for i in range(d):
-            u, v = (x * half + i) % d, (x * kap + i) % d
-            W[row, u * d + v] += 1 / np.sqrt(2)
-            W[row, v * d + u] -= 1 / np.sqrt(2)
-            row += 1
-    return W
-
-
 @dataclass
 class SymLiftBlocks:
     d: int
@@ -103,26 +68,27 @@ class SymLiftBlocks:
 
 
 def lift_fiducial(f):
-    """Blocks of the doubled fiducial in the block basis of symmetric_reindex.
+    """Blocks of the doubled fiducial sqrt((d+1)/2) |psi> (x) |psi> over the
+    (d+1)/2 symmetric blocks of C^d (x) C^d.
 
-    sqrt((d+1)/2) |psi> (x) |psi> decomposes over the (d+1)/2 symmetric
-    blocks into vectors x_r that turn out orthonormal exactly when psi is a
-    SIC fiducial; the antisymmetric part vanishes identically.
+    Basis pairs (u, v) with v - u = x are relabeled (x, i) by u = x(d-1)/2
+    + i, and block x >= 1 is the symmetric combination of the pairs at x and
+    -x, so its entry i is sqrt(2) psi_u psi_v (block 0 has psi_i^2). In
+    that basis D_{Hp} (x) D_{Hp} acts as D_p on every block alike. The
+    blocks are orthonormal exactly when psi is a SIC fiducial; psi (x) psi is
+    symmetric, so the antisymmetric blocks vanish identically.
     """
     if not verify_sic(f, tol=1e-8):
         raise NotASic("lift requires a verified SIC fiducial")
     d, psi = f.d, np.asarray(f.vector, dtype=complex)
-    kap = (d + 1) // 2
-    L = np.sqrt(kap) * (symmetric_reindex(d) @ np.kron(psi, psi))
-    blocks = [L[x * d:(x + 1) * d] for x in range(kap)]
-    tail = L[kap * d:]
-    if not np.abs(tail).max() <= 1e-10:
-        raise SicladderError("antisymmetric residue in the doubled fiducial")
-    B = np.column_stack(blocks)
-    dev = np.abs(B.conj().T @ B - np.eye(kap)).max()
+    half, kap = (d - 1) // 2, (d + 1) // 2
+    x, i = np.arange(kap)[:, None], np.arange(d)
+    c = np.where(x == 0, 1.0, np.sqrt(2))
+    L = np.sqrt(kap) * c * psi[(x * half + i) % d] * psi[(x * kap + i) % d]
+    dev = np.abs(L.conj() @ L.T - np.eye(kap)).max()
     if not dev <= 1e-8:
         raise SicladderError(f"lift blocks deviate from orthonormality by {dev:.3e}")
-    return SymLiftBlocks(d=d, blocks=blocks)
+    return SymLiftBlocks(d=d, blocks=list(L))
 
 
 @dataclass
@@ -443,18 +409,6 @@ def canonical_params(family, params):
     p[k] = 2 * np.pi - p[k]
     p[k + 1] = (p[k + 1] + np.pi) % (2 * np.pi)
     return p
-
-
-def block_coefficients(family, params):
-    """Per-block coefficient unitaries of a family member.
-
-    The first block is special (det 1, and for size 1 frozen to 1), later
-    blocks are full unitaries; with conjugate=True the three singleton
-    blocks carry 1, e^{i s}, e^{-i s}. All are views of one flat vector.
-    """
-    co, sizes = _coefficient_vector(family, params), family.block_sizes
-    ends = np.cumsum([n * n for n in sizes])
-    return [co[e - n * n:e].reshape(n, n) for n, e in zip(sizes, ends)]
 
 
 def build_proto(family, params):

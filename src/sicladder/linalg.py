@@ -6,7 +6,7 @@ parameters with structural default 1e-10 (well-conditioned desk-scale checks).
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,45 +102,6 @@ def _canonical_eigenbasis(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if len(basis) != m:
         raise RankDeficient("could not span eigenspace from standard basis projections")
     return np.column_stack(basis)
-
-
-def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = 1e-10) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
-
-    Raises RankDeficient if some residual norm falls below tol. Span is
-    preserved; output is orthonormal to ~1e-12.
-    """
-    out: list[np.ndarray] = []
-    for v in vectors:
-        w = np.array(v, dtype=complex, copy=True)
-        for b in out:
-            w -= b * (b.conj() @ w)
-        nw = np.linalg.norm(w)
-        if not nw >= tol:
-            raise RankDeficient(f"residual norm {nw:.3e} < {tol:.1e}")
-        w /= nw
-        for b in out:
-            w -= b * (b.conj() @ w)
-        out.append(w / np.linalg.norm(w))
-    return out
-
-
-def partial_trace(M: np.ndarray, dimA: int, dimB: int, side: str = "B") -> np.ndarray:
-    """Trace out one tensor factor of a (dimA*dimB) x (dimA*dimB) matrix.
-
-    side is the factor that is traced out: "B" keeps the dimA x dimA reduced
-    matrix, "A" keeps dimB x dimB. Index convention is row major (left factor
-    slow), matching numpy.kron.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (dimA * dimB, dimA * dimB):
-        raise DimensionMismatch(f"expected {(dimA * dimB,) * 2}, got {M.shape}")
-    T = M.reshape(dimA, dimB, dimA, dimB)
-    if side == "B":
-        return np.einsum("abcb->ac", T)
-    if side == "A":
-        return np.einsum("abad->bd", T)
-    raise ValueError("side must be 'A' or 'B'")
 
 
 def principal_angles(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:

@@ -15,10 +15,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import ladder
-from .clifford import canonical_order3, order3_elements
+from .clifford import canonical_order3, order3_elements, symplectic_unitary
 from .errors import BadPairing, NotASic, SicladderError, WrongCount
 from .fiducials import (SicFiducial, detect_order3_symmetry, find_fiducial,
                         overlap_phases, sector_fiducials, sic_defect, verify_sic)
@@ -157,6 +156,11 @@ def minimize(family, cfg):
     return [res for res, _ in kept]
 
 
+def _scipy_minimize(*args, **kwargs):
+    from scipy.optimize import minimize   # deferred: Nelder-Mead alone needs it
+    return minimize(*args, **kwargs)
+
+
 def _nelder_mead(family, cfg, N):
     """The (result, vector) pairs of the restarts that reached
     cfg.target_defect in full defect."""
@@ -255,7 +259,6 @@ def equator_geometry_check(solutions, d):
     if max(dists) - min(dists) > 1e-8:
         return False
     g = crt_index(n1, d)
-    from .clifford import symplectic_unitary
     for F in order3_elements(n1):
         # V^T (U_F (x) 1) V, by index
         U = np.kron(symplectic_unitary(F, n1), np.eye(d))[np.ix_(g, g)]

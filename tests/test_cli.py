@@ -33,6 +33,12 @@ def _random_fiducial_file(path, d=5, seed=1):
     return str(path)
 
 
+def _rows(out):
+    """Certificate rows of verify's output: name -> pass or FAIL."""
+    return {line.split()[0]: line.split()[-1] for line in out.splitlines()
+            if line.split()[-1:] in (["pass"], ["FAIL"])}
+
+
 class TestSerialization:
     def test_decimal_strings_are_fixed_points(self):
         rng = np.random.default_rng(0)
@@ -266,6 +272,62 @@ class TestVerify:
         for si in range(3):
             assert f"branch1-sic{si}:sic" in out
         assert "FAIL" not in out
+
+    def test_level_etf_loads_the_embedded_source(self, art, capsys):
+        rc = cli.main(["verify", "--input", str(art / "climb15-sic0.json"),
+                       "--level", "etf"])
+        rows = _rows(capsys.readouterr().out)
+        assert rc == 0
+        assert list(rows) == ["etf-rank", "etf-frame", "etf-naimark"]
+        assert all(v == "pass" for v in rows.values())
+
+    def test_level_etf_without_a_source_has_no_naimark_row(self, art, tmp_path, capsys):
+        body = json.loads((art / "climb15-sic0.json").read_text())
+        del body["source"]
+        p = tmp_path / "nosource.json"
+        cli.save_json(str(p), body)
+        rc = cli.main(["verify", "--input", str(p), "--level", "etf"])
+        rows = _rows(capsys.readouterr().out)
+        assert rc == 0
+        assert rows == {"etf-rank": "pass", "etf-frame": "pass"}
+
+    def test_non_sic_source_fails_the_naimark_row(self, art, tmp_path, capsys):
+        body = json.loads((art / "climb15-sic0.json").read_text())
+        e0 = np.zeros(5, dtype=complex)
+        e0[0] = 1.0
+        body["source"]["vector"] = cli._pairs(e0)
+        p = tmp_path / "badsource.json"
+        cli.save_json(str(p), body)
+        rc = cli.main(["verify", "--input", str(p)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert _rows(out)["etf-naimark"] == "FAIL"
+        assert "inf" in next(line for line in out.splitlines()
+                             if line.startswith("etf-naimark"))
+
+    def test_census_report_has_four_equator_rows(self, art, tmp_path, capsys):
+        out = tmp_path / "census.json"
+        assert cli.main(["climb", "--input", str(art / "f5.json"),
+                         "--try-both-generators", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out)])
+        rows = _rows(capsys.readouterr().out)
+        assert rc == 0
+        equator = [v for name, v in rows.items() if name.endswith(":equator")]
+        assert equator == ["pass"] * 4
+        assert rows["etf-naimark"] == "pass"
+
+    def test_swapped_solution_fails_the_equator_row(self, art, tmp_path, capsys):
+        body = json.loads((art / "climb15.json").read_text())
+        bi = next(i for i, b in enumerate(body["branches"]) if len(b["solutions"]) == 3)
+        v = [1, 1j] @ np.random.default_rng(3).normal(size=(2, 15))
+        body["branches"][bi]["solutions"][2]["vector"] = cli._pairs(v / np.linalg.norm(v))
+        p = tmp_path / "swapped.json"
+        cli.save_json(str(p), body)
+        rc = cli.main(["verify", "--input", str(p)])
+        rows = _rows(capsys.readouterr().out)
+        assert rc == 1
+        assert rows[f"branch{bi}:equator"] == "FAIL"
 
 
 class TestReportOverlaps:

@@ -1,5 +1,8 @@
-"""Source hygiene: every module-level import in the package is used, and
-every private module-level function or class is read.
+"""Source hygiene: every module-level import in the package is used,
+every private module-level function or class is read, and every public one
+has a reader outside the unit tests: package code outside its own
+definition, a name in perfbench/*.py (spans.TRACED names functions as
+strings), or tests/test_acceptance.py.
 
 __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
@@ -9,6 +12,10 @@ anywhere in the package outside the definition itself. And the LM solve,
 minpack.least_squares, is called at one site only.
 """
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,13 +35,17 @@ def _imported_names(tree):
                 yield a.asname or a.name
 
 
-def _read_names(tree, skip=None):
-    """Names read anywhere in tree, outside the subtree skip."""
+def _read_names(tree, skip=None, attributes=False):
+    """Names read anywhere in tree, outside the subtree skip; with
+    attributes, also the attribute names read (module.name)."""
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
+        elif (attributes and isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.add(node.attr)
         stack.extend(c for c in ast.iter_child_nodes(node) if c is not skip)
     return out
 
@@ -71,3 +82,36 @@ def test_one_least_squares_call_site():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "least_squares"]
     assert len(calls) == 1, calls
+
+
+def test_public_definitions_have_a_reader():
+    # anything that only its own unit tests read belongs in tests/
+    perfbench = " ".join(p.read_text() for p in (SRC.parents[1] / "perfbench").glob("*.py"))
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    readers = (set(re.findall(r"\w+", perfbench))
+               | {a.name for node in ast.walk(acceptance)
+                  if isinstance(node, ast.ImportFrom) for a in node.names}
+               | _read_names(acceptance, attributes=True))
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    unread = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(_read_names(t, attributes=True)
+                                  for p, t in trees.items() if p != path))
+        unread += [f"{path.stem}.{node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")
+                   and node.name not in readers | elsewhere
+                   | _read_names(tree, skip=node, attributes=True)]
+    assert not unread, f"public definitions with no reader: {unread}"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of a second to import, and only the
+    # Nelder-Mead search of optimizer.minimize needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, sicladder.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

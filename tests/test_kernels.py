@@ -24,11 +24,12 @@ from sicladder.clifford import (canonical_order3, eigenspace_basis,
 from sicladder.errors import (AlignmentRequired, BadPairing, NoMatchingPhase,
                               SicladderError)
 from sicladder.heisenberg import (_diagonal_tables, crt_index,
-                                  crt_permutation, crt_to_tensor,
-                                  displaced_vector, displacement,
-                                  overlap_table, tau_powers, wh_orbit,
-                                  wh_traces)
+                                  crt_to_tensor, displaced_vector,
+                                  displacement, overlap_table, tau_powers,
+                                  wh_orbit, wh_traces)
 from sicladder.linalg import eig_unitary, phase_fix_columns
+
+from oracles import coefficient_blocks, crt_permutation
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -239,7 +240,7 @@ def test_block_coefficients_are_bit_identical(families, name):
     rng = np.random.default_rng(12)
     for _ in range(1000):
         x = _random_params(fam, rng)
-        new, old = lad.block_coefficients(fam, x), seed_block_coefficients(fam, x)
+        new, old = coefficient_blocks(fam, x), seed_block_coefficients(fam, x)
         assert len(new) == len(old)
         for u, v in zip(new, old):
             # sign bits too: the coefficients multiply rows that hold zeros

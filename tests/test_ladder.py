@@ -10,27 +10,66 @@ from sicladder import ladder as lad
 from sicladder.clifford import canonical_order3, symplectic_unitary
 from sicladder.errors import (BadPairing, NotASic, ParamCountMismatch,
                               SicladderError)
-from sicladder.heisenberg import crt_index, crt_permutation, displacement
+from sicladder.heisenberg import crt_index, displacement
+
+from oracles import coefficient_blocks, crt_permutation
+
+
+def h_matrix(d):
+    """diag(1, 2^{-1}) mod d; conjugation by it moves symmetries across the lift."""
+    return np.array([[1, 0], [0, (d + 1) // 2]])
+
+
+def symmetric_reindex(d):
+    """Unitary W on C^d (x) C^d with W (D_{Hp} (x) D_{Hp}) W^dag = 1 (x) D_p.
+
+    Rows come in d blocks of size d. Basis pairs (u, v) with v - u = x are
+    relabeled (x, i) via u = x(d-1)/2 + i; the swap u <-> v fixes (x, i) up
+    to x -> -x, so symmetric/antisymmetric combinations of the x and -x
+    blocks diagonalize the exchange while the displacement action on i is
+    block-independent. Symmetric blocks come first: x = 0, then (d-1)/2
+    symmetric pairs, then the antisymmetric pairs. lift_fiducial gathers
+    the symmetric rows of W @ kron(psi, psi) by index.
+    """
+    half, kap = (d - 1) // 2, (d + 1) // 2
+    W = np.zeros((d * d, d * d), dtype=complex)
+    row = 0
+    for x in range(kap):
+        for i in range(d):
+            u, v = (x * half + i) % d, (x * kap + i) % d
+            if x == 0:
+                W[row, u * d + v] = 1.0
+            else:
+                W[row, u * d + v] += 1 / np.sqrt(2)
+                W[row, v * d + u] += 1 / np.sqrt(2)
+            row += 1
+    for x in range(1, kap):
+        for i in range(d):
+            u, v = (x * half + i) % d, (x * kap + i) % d
+            W[row, u * d + v] += 1 / np.sqrt(2)
+            W[row, v * d + u] -= 1 / np.sqrt(2)
+            row += 1
+    return W
 
 
 class TestHMatrix:
     def test_lower_entry_halves(self):
         for d in (3, 5, 7, 9, 13, 15):
-            H = lad.h_matrix(d)
+            H = h_matrix(d)
             assert H[0, 0] == 1
             assert (2 * H[1, 1]) % d == 1
 
     def test_conjugation_round_trip(self):
         F = np.array([[0, 4], [1, 4]])
         G = lad.h_conjugate(F, 5)
-        H = lad.h_matrix(5)
+        H = h_matrix(5)
         assert np.array_equal((H @ G) % 5, (F @ H) % 5)
 
 
 class TestSymmetricReindex:
     def test_doubled_displacements_become_blocks_d5(self):
-        d, W = 5, lad.symmetric_reindex(5)
-        H = lad.h_matrix(d)
+        d, W = 5, symmetric_reindex(5)
+        H = h_matrix(d)
         for i, j in itertools.product(range(d), repeat=2):
             hi, hj = (H[0, 0] * i) % d, (H[1, 1] * j) % d
             DD = np.kron(displacement(d, hi, hj), displacement(d, hi, hj))
@@ -39,8 +78,8 @@ class TestSymmetricReindex:
 
     @pytest.mark.parametrize("d", (3, 7, 9))
     def test_generators_preserve_block_label(self, d):
-        W = lad.symmetric_reindex(d)
-        H = lad.h_matrix(d)
+        W = symmetric_reindex(d)
+        H = h_matrix(d)
         for p in ((1, 0), (0, 1)):
             hi, hj = (H[0, 0] * p[0]) % d, (H[1, 1] * p[1]) % d
             DD = np.kron(displacement(d, hi, hj), displacement(d, hi, hj))
@@ -48,7 +87,7 @@ class TestSymmetricReindex:
             assert np.abs(got - np.kron(np.eye(d), displacement(d, *p))).max() < 1e-10
 
     def test_unitary_and_exchange_signature(self):
-        d, W = 7, lad.symmetric_reindex(7)
+        d, W = 7, symmetric_reindex(7)
         assert np.abs(W @ W.conj().T - np.eye(49)).max() < 1e-12
         S = np.zeros((49, 49))
         for u in range(d):
@@ -62,6 +101,16 @@ class TestSymmetricReindex:
 
 
 class TestLift:
+    @pytest.mark.parametrize("name", ("f5", "f7", "f9", "f15"))
+    def test_gather_matches_the_reindex_route(self, name, request):
+        f = request.getfixturevalue(name)
+        d, kap = f.d, (f.d + 1) // 2
+        L = np.sqrt(kap) * (symmetric_reindex(d) @ np.kron(f.vector, f.vector))
+        blocks = np.array(lad.lift_fiducial(f).blocks)
+        assert np.abs(blocks - L[:kap * d].reshape(kap, d)).max() <= 1e-15
+        # psi (x) psi is symmetric, so the antisymmetric blocks vanish
+        assert np.abs(L[kap * d:]).max() <= 1e-15
+
     def test_block_count_and_orthonormality(self, f5):
         L = lad.lift_fiducial(f5)
         assert len(L.blocks) == 3
@@ -78,7 +127,7 @@ class TestLift:
     def test_overlap_reproduction(self, f5):
         d, psi = 5, f5.vector
         L = lad.lift_fiducial(f5)
-        H = lad.h_matrix(d)
+        H = h_matrix(d)
         for i, j in itertools.product(range(d), repeat=2):
             s = sum(np.vdot(x, displacement(d, i, j) @ x) for x in L.blocks)
             hi, hj = (H[0, 0] * i) % d, (H[1, 1] * j) % d
@@ -107,7 +156,7 @@ class TestGeneralizedParity:
     def test_phase_sum_route_direct(self, f5):
         # independent evaluation of the phase-sum form against the stored one
         d = 5
-        H = lad.h_matrix(d)
+        H = h_matrix(d)
         P = np.eye(d, dtype=complex) / d
         for i, j in itertools.product(range(d), repeat=2):
             if (i, j) == (0, 0):
@@ -220,7 +269,7 @@ class TestProtoFamily:
         e_b, f_b = lad.paired_bases(f9, canonical_order3(7), P)
         fam9 = lad.make_proto_family(f9, e_b, f_b, 0)
         rng = np.random.default_rng(3)
-        blocks = lad.block_coefficients(fam9, rng.uniform(0, 2 * np.pi, 5))
+        blocks = coefficient_blocks(fam9, rng.uniform(0, 2 * np.pi, 5))
         sizes = sorted(b.shape[0] for b in blocks)
         assert sizes == [1, 1, 2]
         for b in blocks:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from sicladder import ladder as lad
-from sicladder.errors import (DimensionMismatch, NotOrthonormal, NotUnitary,
-                              RankDeficient)
-from sicladder.linalg import (eig_unitary, gram_schmidt, partial_trace,
-                              phase_fix_columns, principal_angles)
+from sicladder.errors import NotOrthonormal, NotUnitary
+from sicladder.linalg import eig_unitary, phase_fix_columns, principal_angles
 
 
 def random_unitary(n, seed):
@@ -65,72 +63,14 @@ class TestEigUnitary:
             eig_unitary(np.full((3, 3), np.nan + 0j))
 
 
-class TestGramSchmidt:
-    def test_standard_basis_unchanged(self):
-        out = gram_schmidt(list(np.eye(3, dtype=complex)))
-        assert np.abs(np.array(out) - np.eye(3)).max() < 1e-12
-
-    def test_two_vectors(self):
-        out = gram_schmidt([np.array([1, 0], dtype=complex),
-                            np.array([1, 1], dtype=complex)])
-        assert np.abs(np.abs(out[0]) - [1, 0]).max() < 1e-12
-        assert np.abs(np.abs(out[1]) - [0, 1]).max() < 1e-12
-
-    def test_gram_matrix_identity(self):
-        rng = np.random.default_rng(2)
-        vs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(5)]
-        G = np.array(gram_schmidt(vs))
-        assert np.abs(G.conj() @ G.T - np.eye(5)).max() < 1e-12
-
-    def test_span_preserved(self):
-        rng = np.random.default_rng(4)
-        vs = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2)]
-        out = np.column_stack(gram_schmidt(vs))
-        proj = out @ out.conj().T
-        for v in vs:
-            assert np.linalg.norm(proj @ v - v) < 1e-10
-
-    def test_rank_deficient(self):
-        v = np.array([1, 2j, 0], dtype=complex)
-        with pytest.raises(RankDeficient):
-            gram_schmidt([v, 2 * v])
-
-    def test_refuses_non_finite_vector(self):
-        with pytest.raises(RankDeficient):
-            gram_schmidt([np.full(3, np.nan + 0j)])
-
-
 class TestPartialTrace:
-    def test_product_state(self):
-        e0 = np.zeros(2); e0[0] = 1
-        e1 = np.zeros(2); e1[1] = 1
-        rho = np.kron(np.outer(e0, e0), np.outer(e1, e1))
-        red = partial_trace(rho, 2, 2, side="B")
-        assert np.abs(red - np.outer(e0, e0)).max() < 1e-14
-
-    def test_maximally_entangled(self):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = psi[3] = 1 / np.sqrt(2)
-        red = partial_trace(np.outer(psi, psi.conj()), 2, 2, side="A")
-        assert np.abs(red - np.eye(2) / 2).max() < 1e-14
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(8)
-        M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert abs(np.trace(partial_trace(M, 2, 3, "B")) - np.trace(M)) < 1e-12
-        assert abs(np.trace(partial_trace(M, 2, 3, "A")) - np.trace(M)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(5), 2, 3)
-
     def test_proto_vector_reduced_state(self, fam5):
         # at parameter 0 the family member is (f0 e0 + f1 e1)/sqrt(2); tracing
         # out the 3-dim side leaves half the projector onto the paired e span
         psi = lad.build_proto(fam5, [0.0])
         A = lad.to_tensor(psi, 5)
         rho = np.outer(A.ravel(), A.ravel().conj())
-        red = partial_trace(rho, 3, 5, side="A")
+        red = np.einsum("ajak->jk", rho.reshape(3, 5, 3, 5))
         eb = fam5.e_basis.vectors
         ids = [ei[0] for _, ei in fam5.blocks]
         E = eb[:, ids]
