@@ -344,9 +344,17 @@ class TestCrtSymplectic:
         k = np.unravel_index(np.argmax(np.abs(B)), B.shape)
         assert np.abs(A - (A[k] / B[k]) * B).max() < 1e-8
 
+    @pytest.mark.parametrize("n1,n2", [(3, 5), (13, 15)])
+    def test_split_glue_round_trip(self, n1, n2):
+        rng = np.random.default_rng(n1 * n2)
+        for _ in range(5):
+            F = random_symplectic(n1 * n2, rng)
+            F1, F2 = crt_split_symplectic(F, n1, n2)
+            assert np.array_equal(crt_glue_symplectic(F1, n1, F2, n2), F % (n1 * n2))
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(split_cases())
-    def test_split_glue_round_trip(self, case):
+    def test_split_glue_round_trip_property(self, case):
         n1, n2, F = case
         F1, F2 = crt_split_symplectic(F, n1, n2)
         assert np.array_equal(crt_glue_symplectic(F1, n1, F2, n2), F % (n1 * n2))
