@@ -239,13 +239,12 @@ def _ladder_dim_of(N):
 def _design_row(f):
     if f.d <= 40:
         return "design", two_design_deviation(f)
-    # operator route needs d^2 x d^2 matrices; above that use the orbit
-    # frame potential, which must equal 2d/(d+1) summed over one index
-    t = overlap_phases(f)
-    m = np.abs(t.phases) ** 2 / (f.d + 1)
+    # above d = 40 (the 9 -> 63 and 15 -> 195 rungs) the row is the orbit
+    # frame potential, which must equal 2d/(d+1) summed over one index; the
+    # d x d fourth-moment table needs a d^3 gather, 120 MB and 0.07 s at 195
+    m = np.abs(overlap_phases(f).phases) ** 2 / (f.d + 1)
     m.flat[0] = 1.0
-    pot = float(np.sum(m ** 2))
-    return "design(potential)", abs(pot - 2.0 * f.d / (f.d + 1))
+    return "design(potential)", abs(float(np.sum(m ** 2)) - 2.0 * f.d / (f.d + 1))
 
 
 def _embedded_source(src):

@@ -17,7 +17,7 @@ import numpy as np
 from .clifford import (canonical_order3, eigenspace_basis, fix_phase_to_table,
                        symplectic_unitary, zauner_matrix_standard)
 from .errors import BadDimension, RankDeficient, SearchFailed
-from .heisenberg import overlap_table, wh_orbit
+from .heisenberg import _diagonal_tables, overlap_table, wh_orbit
 from .minpack import least_squares
 
 
@@ -88,18 +88,19 @@ def verify_sic(f, tol=1e-8):
 
 
 def two_design_deviation(f):
-    """Max deviation of the orbit's doubled frame operator from its 2-design
-    value (d^2/dim_sym) Pi_sym with dim_sym = d(d+1)/2."""
+    """Max deviation of the orbit's doubled frame operator S2 from its
+    2-design value (2d/(d+1)) Pi_sym, from a d x d table; S2 (d^2 x d^2) is
+    never formed. The tau phases cancel in each fourfold product and the sum
+    over j leaves S2[(a,b),(c,e)] = d [a+b = c+e mod d] G[b-a, c-a], with
+    G[k,l] = sum_t v_t v_{t+k} conj(v_{t+l} v_{t+k-l}); there Pi_sym is
+    (delta_{l,0} + delta_{k,l})/2, and both vanish elsewhere. Any v, any d."""
     v, d = _vector_of(f)
-    orb = wh_orbit(v)
-    V2 = np.einsum("Ia,Ib->Iab", orb, orb).reshape(d * d, d * d)
-    S2 = V2.T @ V2.conj()
-    swap = np.zeros((d * d, d * d))
-    r, s = np.divmod(np.arange(d * d), d)
-    swap[s * d + r, np.arange(d * d)] = 1.0
-    sym_proj = (np.eye(d * d) + swap) / 2
-    const = d * d / (d * (d + 1) / 2)
-    return float(np.abs(S2 - const * sym_proj).max())
+    idx = _diagonal_tables(d)[0]              # idx[k, t] = (t + k) mod d
+    P = v * v[idx]                            # P[k, t] = v_t v_{t+k}
+    rows = idx[:, (-2 * np.arange(d)) % d]    # rows[k, l] = (k - 2l) mod d
+    G = np.einsum("kt,klt->kl", P, P.conj()[rows[:, :, None], idx])
+    sym2 = np.eye(d) + np.eye(d)[:1]          # delta_{k,l} + delta_{l,0}
+    return float(np.abs(d * G - d / (d + 1) * sym2).max())
 
 
 def default_symmetry(d):

@@ -10,7 +10,7 @@ import functools
 import numpy as np
 
 from sicladder import ladder as lad
-from sicladder.heisenberg import crt_index
+from sicladder.heisenberg import crt_index, wh_orbit
 
 
 @functools.lru_cache(maxsize=16)
@@ -34,3 +34,19 @@ def coefficient_blocks(family, params):
     ends = np.cumsum([n * n for n in sizes])
     assert ends[-1] == len(co)
     return [co[e - n * n:e].reshape(n, n) for n, e in zip(sizes, ends)]
+
+
+def two_design_deviation_dense(v):
+    """Max deviation of the orbit's doubled frame operator V2^T conj(V2),
+    formed as a d^2 x d^2 matrix, from (2d/(d+1)) Pi_sym, with the swap
+    built as a dense permutation."""
+    v = np.asarray(v, dtype=complex)
+    d = len(v)
+    orb = wh_orbit(v)
+    V2 = np.einsum("Ia,Ib->Iab", orb, orb).reshape(d * d, d * d)
+    S2 = V2.T @ V2.conj()
+    swap = np.zeros((d * d, d * d))
+    r, s = np.divmod(np.arange(d * d), d)
+    swap[s * d + r, np.arange(d * d)] = 1.0
+    sym_proj = (np.eye(d * d) + swap) / 2
+    return float(np.abs(S2 - 2 * d / (d + 1) * sym_proj).max())

@@ -4,17 +4,22 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from sicladder import fiducials as fid
 from sicladder.clifford import (canonical_order3, symplectic_unitary,
                                 zauner_matrix_standard)
 from sicladder.errors import BadDimension, RankDeficient, SearchFailed
-from sicladder.heisenberg import displacement
+from sicladder.heisenberg import displaced_vector, displacement
+
+from oracles import two_design_deviation_dense
 
 W3 = np.exp(2j * np.pi / 3)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,20 +126,68 @@ class TestTwoDesign:
         assert fid.two_design_deviation(f7) <= 1e-8
 
     def test_design_constant_value(self, f5):
-        d = 5
-        orb = fid.wh_orbit(f5.vector)
-        V2 = np.einsum("Ia,Ib->Iab", orb, orb).reshape(d * d, d * d)
-        S2 = V2.T @ V2.conj()
-        swap = S2 * 0
-        r, s = np.divmod(np.arange(d * d), d)
-        swap[s * d + r, np.arange(d * d)] = 1.0
-        assert np.abs(S2 - (5.0 / 3.0) * (np.eye(d * d) + swap) / 2).max() < 1e-8
+        # the dense d^2 x d^2 operator against (25 / 15) * symmetric projector
+        assert two_design_deviation_dense(f5.vector) < 1e-8
 
     def test_non_sic_is_refused(self):
         # the basis orbit is no 2-design: the design row of verify fails it
         e0 = np.zeros(3, dtype=complex)
         e0[0] = 1.0
         assert fid.two_design_deviation(fid.SicFiducial(d=3, vector=e0)) > 1
+
+    @pytest.mark.parametrize("d", range(2, 12))
+    def test_table_matches_dense_operator_on_random_vectors(self, d):
+        # unnormalized, even d included: the identity holds for any vector
+        rng = np.random.default_rng(100 + d)
+        for _ in range(3):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            dense = two_design_deviation_dense(v)
+            got = fid.two_design_deviation(fid.SicFiducial(d=d, vector=v))
+            assert abs(got - dense) <= 1e-12 * dense
+
+    def test_table_matches_dense_operator_on_sics(self, f5, f7, f15, climb35):
+        sics = [f5, f7, f15, fid.SicFiducial(d=35, vector=climb35.solutions[0][1])]
+        for f in sics:
+            assert abs(fid.two_design_deviation(f)
+                       - two_design_deviation_dense(f.vector)) <= 1e-13
+
+    def test_nan_entry_fails_closed(self, f7):
+        # verify's design row passes on err <= tol, which NaN never satisfies
+        v = np.array(f7.vector, dtype=complex)
+        v[3] = np.nan
+        err = fid.two_design_deviation(fid.SicFiducial(d=7, vector=v))
+        assert np.isnan(err) and not err <= 1e-8
+
+    def test_memory_stays_at_table_size(self):
+        # the dense d^2 x d^2 route peaks at about 104 MiB at d = 35
+        rng = np.random.default_rng(35)
+        f = fid.SicFiducial(d=35, vector=rng.normal(size=35) + 1j * rng.normal(size=35))
+        fid.two_design_deviation(f)   # fill the cached gather tables first
+        tracemalloc.start()
+        try:
+            fid.two_design_deviation(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+class TestGaugeAndCovariance:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from(range(3, 16, 2)), seed=st.integers(0, 2 ** 32 - 1),
+           theta=st.floats(0, 2 * np.pi),
+           q=st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    def test_phase_and_displacement_leave_defect_and_design_unchanged(
+            self, d, seed, theta, q):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        defect = fid.sic_defect(psi, d)
+        design = fid.two_design_deviation(fid.SicFiducial(d=d, vector=psi))
+        for w in (np.exp(1j * theta) * psi, displaced_vector(psi, (q,))[0]):
+            assert abs(fid.sic_defect(w, d) - defect) <= 1e-12
+            assert abs(fid.two_design_deviation(fid.SicFiducial(d=d, vector=w))
+                       - design) <= 1e-12
 
 
 class TestGaugeNormalize:
