@@ -236,17 +236,6 @@ def _ladder_dim_of(N):
     return 1 + r if r * r == N + 1 and r > 1 else None
 
 
-def _design_row(f):
-    if f.d <= 40:
-        return "design", two_design_deviation(f)
-    # above d = 40 (the 9 -> 63 and 15 -> 195 rungs) the row is the orbit
-    # frame potential, which must equal 2d/(d+1) summed over one index; the
-    # d x d fourth-moment table needs a d^3 gather, 120 MB and 0.07 s at 195
-    m = np.abs(overlap_phases(f).phases) ** 2 / (f.d + 1)
-    m.flat[0] = 1.0
-    return "design(potential)", abs(float(np.sum(m ** 2)) - 2.0 * f.d / (f.d + 1))
-
-
 def _embedded_source(src):
     return SicFiducial(d=int(src["dimension"]), vector=_unpairs(src["vector"]))
 
@@ -260,8 +249,7 @@ def _verify_one(f, source, levels, explicit, prefix=""):
     if "sic" in levels:
         rows.append((prefix + "sic", overlap_phases(f).defect))
     if "design" in levels:
-        name, err = _design_row(f)
-        rows.append((prefix + name, err))
+        rows.append((prefix + "design", two_design_deviation(f)))
     if "alignment" in levels:
         if source is None:
             if explicit:

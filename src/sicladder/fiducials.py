@@ -17,7 +17,7 @@ import numpy as np
 from .clifford import (canonical_order3, eigenspace_basis, fix_phase_to_table,
                        symplectic_unitary, zauner_matrix_standard)
 from .errors import BadDimension, RankDeficient, SearchFailed
-from .heisenberg import _diagonal_tables, overlap_table, wh_orbit
+from .heisenberg import _check_dim, overlap_table, wh_traces
 from .minpack import least_squares
 
 
@@ -72,35 +72,38 @@ def sic_defect(v, d):
 
 
 def verify_sic(f, tol=1e-8):
-    """Full-orbit check: resolution of the identity plus equiangularity.
+    """Unit norm plus equiangularity, read off the overlap table.
 
-    Tightness is tested from the summed orbit projectors (not assumed from
-    group covariance); equiangularity from the overlap table.
+    The orbit's tightness is not tested: sum_p D_p|v><v|D_p^dag = d ||v||^2 1
+    holds for every vector v (the sum over clock powers leaves the diagonal,
+    the sum over shifts spreads it evenly), so given unit norm it is
+    implied and a test of it would reject nothing.
     """
     v, d = _vector_of(f)
     if abs(np.linalg.norm(v) - 1) > 1e-10:
-        return False
-    orb = wh_orbit(v)
-    S = orb.T @ orb.conj()
-    if np.abs(S - d * np.eye(d)).max() > tol:
         return False
     return bool(np.abs(_overlap_residuals(v, d)[1:]).max() <= tol)
 
 
 def two_design_deviation(f):
     """Max deviation of the orbit's doubled frame operator S2 from its
-    2-design value (2d/(d+1)) Pi_sym, from a d x d table; S2 (d^2 x d^2) is
-    never formed. The tau phases cancel in each fourfold product and the sum
-    over j leaves S2[(a,b),(c,e)] = d [a+b = c+e mod d] G[b-a, c-a], with
-    G[k,l] = sum_t v_t v_{t+k} conj(v_{t+l} v_{t+k-l}); there Pi_sym is
-    (delta_{l,0} + delta_{k,l})/2, and both vanish elsewhere. Any v, any d."""
+    2-design value (2d/(d+1)) Pi_sym, from the d x d trace table
+    T[p] = v^T D_p v of v v^T; S2 (d^2 x d^2) is never formed. Odd d only.
+
+    The tau phases cancel in each fourfold product and the sum over j
+    leaves S2[(a,b),(c,e)] = d [a+b = c+e mod d] G[b-a, c-a], with
+    G[k,l] = sum_t v_t v_{t+k} conj(v_{t+l} v_{t+k-l}), where Pi_sym is
+    (delta_{l,0} + delta_{k,l})/2 and both vanish elsewhere. For odd d,
+    tau = omega^((d+1)/2) gives d G[k,l] = (T T^dag)[k, k-2l mod d], and
+    l -> k-2l is a bijection, so the deviation is the max over (k, m) of
+    |(T T^dag)[k,m] - d/(d+1) ([m = k] + [m = -k])|. Even d raises
+    BadDimension: there tau is no power of omega and l -> k-2l is not onto.
+    """
     v, d = _vector_of(f)
-    idx = _diagonal_tables(d)[0]              # idx[k, t] = (t + k) mod d
-    P = v * v[idx]                            # P[k, t] = v_t v_{t+k}
-    rows = idx[:, (-2 * np.arange(d)) % d]    # rows[k, l] = (k - 2l) mod d
-    G = np.einsum("kt,klt->kl", P, P.conj()[rows[:, :, None], idx])
-    sym2 = np.eye(d) + np.eye(d)[:1]          # delta_{k,l} + delta_{l,0}
-    return float(np.abs(d * G - d / (d + 1) * sym2).max())
+    _check_dim(d)
+    T = wh_traces(np.outer(v, v))
+    sym2 = np.eye(d) + np.eye(d)[-np.arange(d) % d]   # [m = k] + [m = -k]
+    return float(np.abs(T @ T.conj().T - d / (d + 1) * sym2).max())
 
 
 def default_symmetry(d):

@@ -75,35 +75,26 @@ def _check_blocks_orthonormal(blocks, d, tol=1e-10):
     return B
 
 
-def naimark_complement(x_blocks, d, completion="auto"):
+def naimark_complement(x_blocks, d):
     """Generator of the frame that an orthonormal completion of the given
     blocks spans.
 
     Stacking the covariant generators of the blocks and of the completion and
     scaling by 1/sqrt(d) forms a d^2 x d^2 unitary; the complement frame is
-    the lower block. With completion="auto" the completing vectors are the
-    canonical eigenbasis of the rank-deficient direction of the projector
-    sum_r |x_r><x_r| (its eigenvalue -1 sector after reflection), which keeps
-    the output reproducible.
+    the lower block. The completing vectors are the canonical eigenbasis of
+    the rank-deficient direction of the projector sum_r |x_r><x_r| (its
+    eigenvalue -1 sector after reflection), which keeps the output
+    reproducible.
     """
     blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
     if any(len(x) != d for x in blocks):
         raise DimensionMismatch(f"blocks must each live in C^{d}")
     B = _check_blocks_orthonormal(blocks, d)
     k = B.shape[1]
-    if isinstance(completion, str) and completion == "auto":
-        refl = 2 * (B @ B.conj().T) - np.eye(d)  # unitary reflection
-        dec = eig_unitary(refl, tol=1e-8)
-        comp = dec.eigenvectors[:, np.abs(dec.eigenvalues + 1) <= 1e-8]
-        comp_blocks = [comp[:, c] for c in range(comp.shape[1])]
-    else:
-        comp_blocks = [np.asarray(y, dtype=complex) for y in completion]
-        full = np.column_stack([B] + [y[:, None] for y in comp_blocks])
-        if full.shape[1] != d:
-            raise BadCompletion(f"completion has {full.shape[1] - k} vectors, need {d - k}")
-        dev = np.abs(full.conj().T @ full - np.eye(d)).max()
-        if not dev <= 1e-10:
-            raise BadCompletion(f"completion not an orthonormal extension: {dev:.3e}")
+    refl = 2 * (B @ B.conj().T) - np.eye(d)  # unitary reflection
+    dec = eig_unitary(refl, tol=1e-8)
+    comp = dec.eigenvectors[:, np.abs(dec.eigenvalues + 1) <= 1e-8]
+    comp_blocks = [comp[:, c] for c in range(comp.shape[1])]
     if len(comp_blocks) != d - k:
         raise BadCompletion(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
     M = covariant_generator(comp_blocks, d)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sicladder import cli
+from sicladder import fiducials as fid
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import canonical_order3
@@ -78,3 +79,11 @@ def f15():
 def climb35(f7):
     return opt.climb(f7, conjugate=True,
                      cfg=opt.SearchConfig(restarts=8, max_iters=3000, seed=0))
+
+
+@pytest.fixture(scope="session")
+def sic63(f9):
+    # the first restart of criterion 7's 9 -> 63 search converges
+    out = opt.climb(f9, cfg=opt.SearchConfig(restarts=1, max_iters=4000, seed=11))
+    assert out.solutions, "the 9 -> 63 step found nothing in one restart"
+    return fid.SicFiducial(d=63, vector=out.solutions[0][1])

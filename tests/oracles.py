@@ -3,7 +3,10 @@
 The package applies the Chinese-remainder permutation as the index array
 heisenberg.crt_index and never forms the matrix, and it keeps a family
 member's coefficients as one flat vector; the tests compare against the
-matrix and the per-block unitaries.
+matrix and the per-block unitaries. Its 2-design certificate reads the
+trace table of psi psi^T; the tests compare against the dense doubled frame
+operator and, above d of about 35 where that is out of reach, against the
+fourth-moment table route.
 """
 import functools
 
@@ -50,3 +53,20 @@ def two_design_deviation_dense(v):
     swap[s * d + r, np.arange(d * d)] = 1.0
     sym_proj = (np.eye(d * d) + swap) / 2
     return float(np.abs(S2 - 2 * d / (d + 1) * sym_proj).max())
+
+
+def two_design_deviation_table(v):
+    """The same deviation from the fourth-moment table
+    G[k,l] = sum_t v_t v_{t+k} conj(v_{t+l} v_{t+k-l}), by a (d, d, d)
+    gather: S2[(a,b),(c,e)] = d [a+b = c+e mod d] G[b-a, c-a], where
+    (2d/(d+1)) Pi_sym is d/(d+1) (delta_{l,0} + delta_{k,l}) and both vanish
+    elsewhere. Any v, any d; d^3 memory."""
+    v = np.asarray(v, dtype=complex)
+    d = len(v)
+    r = np.arange(d)
+    idx = (r + r[:, None]) % d                # idx[k, t] = (t + k) mod d
+    P = v * v[idx]                            # P[k, t] = v_t v_{t+k}
+    rows = idx[:, (-2 * r) % d]               # rows[k, l] = (k - 2l) mod d
+    G = np.einsum("kt,klt->kl", P, P.conj()[rows[:, :, None], idx])
+    sym2 = np.eye(d) + np.eye(d)[:1]          # delta_{k,l} + delta_{l,0}
+    return float(np.abs(d * G - d / (d + 1) * sym2).max())

@@ -4,11 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sicladder
 from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder.fiducials import SicFiducial
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,33 @@ class TestSerialization:
         cli.save_json(str(out), cli.fiducial_payload(
             f, provenance=body["provenance"], source=sf))
         assert out.read_bytes() == src.read_bytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from((3, 5, 15)), seed=st.integers(0, 2 ** 32 - 1),
+           symmetry=st.booleans(), eigenvalue=st.booleans(), source=st.booleans())
+    def test_random_fiducial_round_trip_is_byte_identical(
+            self, tmp_path_factory, d, seed, symmetry, eigenvalue, source):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        f = SicFiducial(d=d, vector=v / np.linalg.norm(v))
+        if symmetry:
+            f.symmetry = rng.integers(0, d, size=(2, 2))
+            if eigenvalue:
+                f.symmetry_eigenvalue = np.exp(2j * np.pi * rng.random())
+        src = None
+        if source:
+            w = rng.normal(size=5) + 1j * rng.normal(size=5)
+            src = SicFiducial(d=5, vector=w / np.linalg.norm(w))
+        root = tmp_path_factory.mktemp("roundtrip")
+        first, again = root / "roundtrip.json", root / "roundtrip-again.json"
+        cli.save_json(str(first), cli.fiducial_payload(f, provenance="test", source=src))
+        _, body, g = cli.load_artifact(str(first))
+        sdat = body.get("source")
+        src = None if sdat is None else SicFiducial(
+            d=int(sdat["dimension"]), vector=cli._unpairs(sdat["vector"]))
+        cli.save_json(str(again), cli.fiducial_payload(
+            g, provenance=body["provenance"], source=src))
+        assert again.read_bytes() == first.read_bytes()
 
     def test_unnormalized_vector_rejected_on_load(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -246,6 +277,13 @@ class TestVerify:
         for name in ("sic", "design", "alignment", "etf-rank", "etf-frame"):
             assert name in out
         assert "FAIL" not in out
+
+    def test_rung195_gets_the_full_design_row(self, capsys):
+        rc = cli.main(["verify", "--input", str(INPUTS / "sic195.json")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert _rows(out)["design"] == "pass"
+        assert "design(potential)" not in out
 
     def test_random_vector_fails_sic_check(self, tmp_path, capsys):
         p = _random_fiducial_file(tmp_path / "rand.json")

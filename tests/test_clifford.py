@@ -122,6 +122,18 @@ def split_cases(draw):
     return n1, n2, np.array([[a, b], [g, pow(a, -1, N) * (1 + b * g) % N]])
 
 
+@st.composite
+def symplectic_cases(draw):
+    """(d, F) with d odd, 3 <= d <= 15, and F anywhere in SL(2, Z_d): a
+    primitive first row, then any second row that makes det = 1."""
+    d = draw(st.sampled_from(range(3, 16, 2)))
+    a, b = draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+                .filter(lambda r: np.gcd.reduce([*r, d]) == 1))
+    g, e = draw(st.sampled_from([(g, e) for g in range(d) for e in range(d)
+                                 if (a * e - b * g) % d == 1]))
+    return d, np.array([[a, b], [g, e]])
+
+
 class TestSymplecticUnitary:
     def test_identity_maps_to_identity(self):
         for d in (3, 5, 15):
@@ -148,6 +160,12 @@ class TestSymplecticUnitary:
             U = cl.symplectic_unitary(F, d)
             assert np.abs(U @ U.conj().T - np.eye(d)).max() < 1e-10
             assert covariance_deviation(U, F, d) < 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(symplectic_cases())
+    def test_covariance_property(self, case):
+        d, F = case
+        assert covariance_deviation(cl.symplectic_unitary(F, d), F, d) < 1e-10
 
     def test_noninvertible_upper_right_path(self):
         # gcd(3, 15) = 3 forces the two-factor construction

@@ -13,16 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder.clifford import (canonical_order3, symplectic_unitary,
                                 zauner_matrix_standard)
 from sicladder.errors import BadDimension, RankDeficient, SearchFailed
 from sicladder.heisenberg import displaced_vector, displacement
 
-from oracles import two_design_deviation_dense
+from oracles import two_design_deviation_dense, two_design_deviation_table
 
 W3 = np.exp(2j * np.pi / 3)
 SRC = Path(__file__).resolve().parents[1] / "src"
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+@pytest.fixture(scope="module")
+def sic195():
+    return cli.load_artifact(str(INPUTS / "sic195.json"))[2]
 
 
 def brute_defect(v, d):
@@ -116,6 +123,24 @@ class TestVerifySic:
         g = fid.SicFiducial(d=5, vector=2.0 * f5.vector)
         assert not fid.verify_sic(g)
 
+    def test_rejects_random_and_scaled_vectors_at_195(self, sic195):
+        assert fid.verify_sic(sic195)
+        rng = np.random.default_rng(195)
+        v = rng.normal(size=195) + 1j * rng.normal(size=195)
+        assert not fid.verify_sic(fid.SicFiducial(d=195, vector=v / np.linalg.norm(v)))
+        assert not fid.verify_sic(fid.SicFiducial(d=195, vector=2.0 * sic195.vector))
+
+    def test_memory_stays_at_table_size_at_195(self, sic195):
+        # the overlap table is 0.6 MiB here; one d^2 x d orbit is 116 MiB
+        fid.verify_sic(sic195)   # fill the cached gather tables first
+        tracemalloc.start()
+        try:
+            assert fid.verify_sic(sic195)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
 
 class TestTwoDesign:
     def test_sic5_design_constant(self, f5):
@@ -135,9 +160,9 @@ class TestTwoDesign:
         e0[0] = 1.0
         assert fid.two_design_deviation(fid.SicFiducial(d=3, vector=e0)) > 1
 
-    @pytest.mark.parametrize("d", range(2, 12))
+    @pytest.mark.parametrize("d", range(3, 12, 2))
     def test_table_matches_dense_operator_on_random_vectors(self, d):
-        # unnormalized, even d included: the identity holds for any vector
+        # unnormalized: the identity holds for any vector of odd length
         rng = np.random.default_rng(100 + d)
         for _ in range(3):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -145,11 +170,30 @@ class TestTwoDesign:
             got = fid.two_design_deviation(fid.SicFiducial(d=d, vector=v))
             assert abs(got - dense) <= 1e-12 * dense
 
+    @pytest.mark.parametrize("d", range(2, 11, 2))
+    def test_even_dimension_is_refused(self, d):
+        # tau is no power of omega: d G[k, l] = (T T^dag)[k, k - 2l] fails
+        with pytest.raises(BadDimension):
+            fid.two_design_deviation(fid.SicFiducial(d=d, vector=np.ones(d) / np.sqrt(d)))
+
     def test_table_matches_dense_operator_on_sics(self, f5, f7, f15, climb35):
         sics = [f5, f7, f15, fid.SicFiducial(d=35, vector=climb35.solutions[0][1])]
         for f in sics:
             assert abs(fid.two_design_deviation(f)
                        - two_design_deviation_dense(f.vector)) <= 1e-13
+
+    def test_matches_fourth_moment_table_above_dense_reach(self, climb35, sic63):
+        # the dense d^2 x d^2 oracle is out of reach above d of about 35
+        rng = np.random.default_rng(63)
+        for d in (35, 63):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            ref = two_design_deviation_table(v)
+            got = fid.two_design_deviation(fid.SicFiducial(d=d, vector=v))
+            assert abs(got - ref) <= 1e-12 * ref
+        for f in (fid.SicFiducial(d=35, vector=climb35.solutions[0][1]), sic63):
+            got = fid.two_design_deviation(f)
+            assert got <= 1e-13
+            assert abs(got - two_design_deviation_table(f.vector)) <= 1e-13
 
     def test_nan_entry_fails_closed(self, f7):
         # verify's design row passes on err <= tol, which NaN never satisfies

@@ -4,7 +4,7 @@ import pytest
 
 from sicladder import frames as fr
 from sicladder import ladder as lad
-from sicladder.errors import BadCompletion, DimensionMismatch, NotOrthonormal
+from sicladder.errors import DimensionMismatch, NotOrthonormal
 
 
 def basis_vec(d, j):
@@ -103,44 +103,14 @@ class TestNaimarkComplement:
         G = orig.conj().T @ orig + comp.conj().T @ comp
         assert np.abs(G - 5.0 * np.eye(25)).max() < 1e-10
 
-    def test_completion_freedom(self, f5):
-        blocks = lad.lift_fiducial(f5).blocks
-        B = np.column_stack(blocks)
-        rng = np.random.default_rng(7)
-        raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        # random orthonormal extension of the same blocks
-        proj = np.eye(5) - B @ B.conj().T
-        ext, _ = np.linalg.qr(proj @ raw[:, :2])
-        manual = fr.naimark_complement(blocks, 5, completion=[ext[:, 0], ext[:, 1]])
-        auto = fr.naimark_complement(blocks, 5)
-        assert fr.check_tight(manual).is_tight
-        # complement Gram matrix is completion-independent
-        Ga = auto.conj().T @ auto
-        Gm = manual.conj().T @ manual
-        assert np.abs(Ga - Gm).max() < 1e-10
-
     def test_rejects_non_orthonormal_blocks(self):
         e0 = basis_vec(3, 0)
         with pytest.raises(NotOrthonormal):
             fr.naimark_complement([e0, e0], 3)
 
-    def test_rejects_short_completion(self):
-        with pytest.raises(BadCompletion):
-            fr.naimark_complement([basis_vec(3, 0)], 3, completion=[basis_vec(3, 1)])
-
     def test_refuses_non_finite_block(self):
         with pytest.raises(NotOrthonormal):
             fr.naimark_complement([np.full(5, np.nan + 0j)], 5)
-
-    def test_refuses_non_finite_completion(self):
-        with pytest.raises(BadCompletion):
-            fr.naimark_complement([basis_vec(5, 0)], 5,
-                                  completion=[np.full(5, np.nan + 0j)] * 4)
-
-    def test_rejects_skew_completion(self):
-        v = (basis_vec(3, 0) + basis_vec(3, 1)) / np.sqrt(2)
-        with pytest.raises(BadCompletion):
-            fr.naimark_complement([basis_vec(3, 0), basis_vec(3, 1)], 3, completion=[v])
 
 
 class TestGrassmannEquidistance:
