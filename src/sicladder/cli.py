@@ -24,6 +24,9 @@ from .fiducials import (SicFiducial, overlap_phases, sic_defect,
 
 SCHEMA_VERSION = 1
 PASS_TOL = 1e-8
+# verify's name column: fixed, so a row's bytes never depend on the other
+# rows; wide enough for "branch10-sic10:alignment"
+NAME_WIDTH = 24
 
 
 def _fmt(x):
@@ -330,11 +333,10 @@ def cmd_verify(args):
         print("nothing to check for this artifact", file=sys.stderr)
         return 1
     ok = True
-    width = max(len(name) for name, _ in rows)
     for name, err in rows:
         passed = err <= PASS_TOL
         ok = ok and passed
-        print(f"{name:<{width}}  {err:12.3e}  {'pass' if passed else 'FAIL'}")
+        print(f"{name:<{NAME_WIDTH}}  {err:12.3e}  {'pass' if passed else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -183,12 +183,21 @@ def find_fiducial(d, restarts=20, seed=0, target=1e-16):
     raise SearchFailed(f"no defect <= {target:g} fiducial in {restarts} restarts")
 
 
+# Number of fiducial rays in the eigenspace of d's recipe, where it is
+# proven: tests/test_fiducials.py::TestSectorCount solves the equiangularity
+# equations on the d = 5 eigenspace's Bloch sphere exactly (a lex Groebner
+# basis over the rationals) and finds four real points, each one an LM ray.
+_SECTOR_RAYS = {5: 4}
+
+
 def sector_fiducials(d, tries=400, seed=17):
     """All distinct fiducial rays in the eigenspace of d's recipe.
 
     Found by clustering seeded multistart solves (_lm_restarts); gauge-fixed
     and sorted by their rounded coordinates so the enumeration is
-    reproducible.
+    reproducible. Where the number of rays is certified (_SECTOR_RAYS: four
+    at d = 5), the restarts stop once that many are found, which returns the
+    same list as running all tries; tries stays the upper bound.
     """
     found = []
     for _, (defect, ray) in zip(range(tries), _lm_restarts(d, seed, 4000)):
@@ -196,6 +205,8 @@ def sector_fiducials(d, tries=400, seed=17):
             psi = ray()
             if not any(abs(abs(np.vdot(psi, q)) - 1) < 1e-8 for q in found):
                 found.append(psi)
+                if len(found) == _SECTOR_RAYS.get(d):
+                    break
     keyed = sorted((tuple(np.round(np.stack([v.real, v.imag], -1).ravel(), 9)), v)
                    for v in found)
     return [_recipe_fiducial(d, v, f"dim{d}-sector{k}")

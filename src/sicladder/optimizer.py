@@ -424,11 +424,13 @@ def promote_solution(psi, d, label=""):
 def select_source_by_phase(seed=0, tries=60):
     """The canonical dimension-5 climb source.
 
-    The relevant eigenspace holds four fiducials; two of them give the
-    frozen phase constant in the one-parameter climb and two give its
-    conjugate (the families are mirror images). Enumerate the sector
-    deterministically and return the first fiducial whose climb lands on
-    the frozen constant. The climbs are closed-form solves (minimize).
+    The relevant eigenspace holds exactly four fiducials (a count proven in
+    tests/test_fiducials.py::TestSectorCount); two of them give the frozen
+    phase constant in the one-parameter climb and two give its conjugate
+    (the families are mirror images). Enumerate the sector
+    deterministically, which stops at the fourth ray (sector_fiducials),
+    and return the first fiducial whose climb lands on the frozen constant.
+    The climbs are closed-form solves (minimize).
     """
     for f in sector_fiducials(5, tries=tries, seed=seed):
         out = climb(f)

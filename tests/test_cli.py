@@ -278,6 +278,15 @@ class TestVerify:
             assert name in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("name, row", [("climb15-sic0.json", "sic"),
+                                           ("climb15.json", "branch1-sic0:sic")])
+    def test_row_bytes_do_not_depend_on_the_other_rows(self, art, capsys, name, row):
+        def line(level):
+            assert cli.main(["verify", "--input", str(art / name), "--level", level]) == 0
+            return next(x for x in capsys.readouterr().out.splitlines()
+                        if x.split()[0] == row)
+        assert line("sic") == line("all")
+
     def test_rung195_gets_the_full_design_row(self, capsys):
         rc = cli.main(["verify", "--input", str(INPUTS / "sic195.json")])
         out = capsys.readouterr().out

@@ -5,10 +5,13 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
@@ -321,19 +324,17 @@ class TestSearch:
         with pytest.raises(SearchFailed):
             fid.find_fiducial(5, restarts=1, seed=0, target=1e-40)
 
-    def test_eigenspace_census_d5(self):
-        rays = fid.sector_fiducials(5, tries=150, seed=17)
-        assert len(rays) == 4
+    # sector_fiducials stops at the certified count, so a length check alone
+    # could not fail; the rays are matched to the proven solutions instead
+    def test_eigenspace_census_d5(self, census5, sector_cert):
+        assert_rays_are_the_points([f.vector for f in census5], sector_cert.rays)
 
-    def test_census_rays_are_distinct_sics(self):
-        rays = fid.sector_fiducials(5, tries=150, seed=17)
-        assert len(rays) == 4
-        for f in rays:
+    def test_census_rays_are_distinct_sics(self, census5, sector_cert):
+        assert_rays_are_the_points([f.vector for f in census5], sector_cert.rays)
+        for f in census5:
             assert fid.verify_sic(f, tol=1e-8)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                ov = abs(np.vdot(rays[a].vector, rays[b].vector))
-                assert ov < 1 - 1e-6
+        for a, b in itertools.combinations(census5, 2):
+            assert abs(np.vdot(a.vector, b.vector)) < 1 - 1e-6
 
 
 # Verbatim copies of the searches as they were before find_fiducial and
@@ -429,6 +430,200 @@ class TestSearchMatchesSeed:
         old = seed_sector_fiducials(5, zauner_matrix_standard(5), W3, tries=60, seed=0)
         assert len(old) == 4
         assert_same_fiducials(fid.sector_fiducials(5, tries=60, seed=0), old)
+
+
+# The count of fiducial rays in the d = 5 search eigenspace, proven. The
+# eigenspace (default_symmetry(5), eigenvalue omega_3) is 2-dimensional, so a
+# ray psi = B c is a Bloch vector n, c c^dag = (1 + n.sigma)/2, and
+# <psi|D_p|psi> = tr(B^dag D_p B c c^dag) is a complex affine form a + b.n.
+# Each equation |a + b.n|^2 = 1/6 is then a real quadric in n, and so is the
+# unit sphere. These 25 quadrics span a rank-3 space, so the rays are exactly
+# the real points of three quadrics: the three leading right singular vectors
+# of the coefficient matrix, rounded to rationals. A lex Groebner basis over
+# the rationals in (x, y, w), w = x + 2y + z, puts that system in shape
+# position, x = g1(w), y = g2(w), h(w) = 0, with h of degree 8 and squarefree:
+# eight distinct complex solutions, the Bezout bound, none at infinity. (In z
+# it cannot: all four rays have z = (1 - sqrt 3)/2.) Sturm counting finds
+# four real roots of h, and every real root gives a real point.
+
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+         np.diag([1.0, -1.0]))
+RATIONAL_STEP = 10 ** 18
+
+
+def bloch_quadrics(B):
+    """Coefficients of |<psi|D_p|psi>|^2 - 1/(d+1) (p != 0) and of
+    |n|^2 - 1, in the monomials 1, x, y, z, x^2, y^2, z^2, xy, xz, yz of the
+    Bloch vector n of psi = B c."""
+    d = B.shape[0]
+    rows = []
+    for i, j in itertools.product(range(d), repeat=2):
+        if i == j == 0:
+            continue
+        M = B.conj().T @ displacement(d, i, j) @ B
+        a = np.trace(M) / 2
+        b = np.array([np.trace(M @ s) / 2 for s in PAULI])
+        Q = np.real(np.outer(b.conj(), b))
+        rows.append([abs(a) ** 2 - 1 / (d + 1), *(2 * np.real(np.conj(a) * b)),
+                     Q[0, 0], Q[1, 1], Q[2, 2], 2 * Q[0, 1], 2 * Q[0, 2], 2 * Q[1, 2]])
+    rows.append([-1, 0, 0, 0, 1, 1, 1, 0, 0, 0])
+    return np.array(rows)
+
+
+def shape_basis(quadrics):
+    """(g1, g2, h), polynomials in w over QQ, when the lex Groebner basis of
+    the quadrics (rows of rational coefficients) is x - g1(w), y - g2(w),
+    h(w); otherwise the test fails."""
+    x, y, w = sympy.symbols("x y w")
+    z = w - x - 2 * y
+    mons = (1, x, y, z, x * x, y * y, z * z, x * y, x * z, y * z)
+    G = sympy.groebner([sympy.expand(sum(c * m for c, m in zip(row, mons)))
+                        for row in quadrics], x, y, w, order="lex")
+    assert len(G.exprs) == 3
+    g = (x - G.exprs[0], y - G.exprs[1], G.exprs[2])
+    assert all(e.free_symbols <= {w} for e in g)
+    return tuple(sympy.Poly(e, w) for e in g)
+
+
+def rationalized(v):
+    return [sympy.Rational(round(c * RATIONAL_STEP), RATIONAL_STEP) for c in v]
+
+
+def mp_coeffs(poly):
+    return [mpmath.mpf(c.p) / c.q for c in poly.all_coeffs()]
+
+
+def mp_roots(poly):
+    """All roots of a polynomial over QQ, to 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.polyroots(mp_coeffs(poly), maxsteps=500, extraprec=200)
+
+
+def split_roots(roots):
+    """(sorted real roots, non-real roots)."""
+    return (sorted(r.real for r in roots if abs(r.imag) < 1e-20),
+            [r for r in roots if abs(r.imag) >= 1e-20])
+
+
+def ray_of_bloch(B, n):
+    """psi = B c for the unit Bloch vector n, c c^dag = (1 + n.sigma)/2."""
+    _, V = np.linalg.eigh((np.eye(2) + sum(c * s for c, s in zip(n, PAULI))) / 2)
+    return B @ V[:, -1]
+
+
+@dataclass
+class SectorCertificate:
+    singular_values: np.ndarray   # of the 25 x 10 coefficient matrix
+    quadrics: np.ndarray          # its three leading right singular vectors
+    h: sympy.Poly                 # the eliminant in w = x + 2y + z
+    roots: list                   # the 8 roots of h at 50 digits
+    points: np.ndarray            # the real solutions n, one per row
+    rays: list                    # their rays psi
+
+
+def certify_sector():
+    symmetry, eigenvalue, _ = fid.default_symmetry(5)
+    B = fid.symmetry_eigenspace(5, symmetry, eigenvalue)
+    _, sv, Vt = np.linalg.svd(bloch_quadrics(B))
+    g1, g2, h = shape_basis([rationalized(v) for v in Vt[:3]])
+    roots = mp_roots(h)
+    points = []
+    with mpmath.workdps(50):
+        for w in split_roots(roots)[0]:
+            x, y = (mpmath.polyval(mp_coeffs(g), w) for g in (g1, g2))
+            points.append([float(x), float(y), float(w - x - 2 * y)])
+    points = np.array(points)
+    return SectorCertificate(sv, Vt[:3], h, roots, points,
+                             [ray_of_bloch(B, n) for n in points])
+
+
+@pytest.fixture(scope="module")
+def sector_cert():
+    return certify_sector()
+
+
+@pytest.fixture(scope="module")
+def census5():
+    return fid.sector_fiducials(5, tries=150, seed=17)
+
+
+def assert_rays_are_the_points(vectors, rays):
+    """A one-to-one match of vectors to rays at |<.>| >= 1 - 1e-8."""
+    ov = np.abs(np.array(vectors).conj() @ np.array(rays).T)
+    hits = ov >= 1 - 1e-8
+    assert hits.shape[0] == hits.shape[1]
+    assert (hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all()
+
+
+class TestSectorCount:
+    def test_quadrics_have_rank_three(self, sector_cert):
+        sv = sector_cert.singular_values
+        assert sv[2] > 0.5 and sv[3] < 1e-13   # 2.26, 1.02, 0.77, then 8e-16
+
+    def test_eight_distinct_complex_solutions(self, sector_cert):
+        h = sector_cert.h
+        assert h.degree() == 8
+        assert sympy.gcd(h, h.diff()).degree() == 0
+
+    def test_exactly_four_real_solutions(self, sector_cert):
+        assert sympy.count_roots(sector_cert.h) == 4
+        assert sector_cert.points.shape == (4, 3)
+        assert np.abs(np.linalg.norm(sector_cert.points, axis=1) - 1).max() < 1e-12
+
+    # The rounded quadrics are within 5e-19 of the float64 ones, which lie
+    # within about 1e-15 (the fourth singular value) of the exact rank-3
+    # span. Roots 0.1 apart and 0.1 off the real axis cannot trade places
+    # under that; a 1e-9 perturbation, far above it, moves none by 1e-6.
+    def test_count_is_robust_to_the_rounding(self, sector_cert):
+        real, nonreal = split_roots(sector_cert.roots)
+        assert len(real) == 4 and len(nonreal) == 4
+        assert np.diff(np.array(real, dtype=float)).min() > 0.1
+        assert min(abs(float(r.imag)) for r in nonreal) > 0.1
+        rng = np.random.default_rng(0)
+        nudged = sector_cert.quadrics + 1e-9 * rng.normal(size=(3, 10))
+        _, _, h = shape_basis([rationalized(v) for v in nudged])
+        assert h.degree() == 8 and sympy.count_roots(h) == 4
+        old = np.array(sector_cert.roots, dtype=complex)
+        new = np.array(mp_roots(h), dtype=complex)
+        assert np.abs(old[:, None] - new[None, :]).min(axis=1).max() < 1e-6
+
+    def test_real_solutions_are_the_search_rays(self, sector_cert):
+        for psi in sector_cert.rays:
+            assert fid.verify_sic(fid.SicFiducial(d=5, vector=psi), tol=1e-8)
+        rays = fid.sector_fiducials(5, tries=60, seed=0)
+        assert_rays_are_the_points([f.vector for f in rays], sector_cert.rays)
+
+
+def counted_solves(monkeypatch):
+    """Count the LM solves that fiducials makes from here on."""
+    calls, solve = [], fid.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fid, "least_squares", counting)
+    return calls
+
+
+class TestSectorStop:
+    def test_phase_selection_stops_at_the_fourth_ray(self, monkeypatch, sector_cert):
+        calls = counted_solves(monkeypatch)
+        rays = fid.sector_fiducials(5, tries=60, seed=0)
+        assert len(calls) == 16   # the fourth ray comes at restart 15
+        assert_rays_are_the_points([f.vector for f in rays], sector_cert.rays)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_other_seeds_stop_on_the_same_rays(self, monkeypatch, sector_cert, seed):
+        calls = counted_solves(monkeypatch)
+        rays = fid.sector_fiducials(5, tries=60, seed=seed)
+        assert len(calls) < 60
+        assert_rays_are_the_points([f.vector for f in rays], sector_cert.rays)
+
+    def test_uncertified_dimension_runs_every_try(self, monkeypatch):
+        calls = counted_solves(monkeypatch)
+        fid.sector_fiducials(7, tries=3, seed=0)
+        assert len(calls) == 3
 
 
 class TestSymmetryDetection:
