@@ -132,11 +132,12 @@ def climb_report_payload(outcome, source):
     branches = []
     for b in outcome.branches:
         sols = []
-        for res, psi, cert in zip(b.results, b.vectors, b.certificates):
+        for res in b.results:
+            cert = res.alignment
             sols.append({
                 "params": [_fmt(x) for x in res.params],
                 "defect": _fmt(res.defect_full),
-                "vector": _pairs(psi),
+                "vector": _pairs(res.vector),
                 "alignment": {
                     "passes": bool(cert.passes),
                     "matrix_M": None if cert.matrix_M is None else
@@ -217,8 +218,8 @@ def cmd_climb(args):
             print(f"{tag}: empty branch" + (f" ({b.error})" if b.error else ""))
             continue
         print(f"{tag}: {len(b.results)} solution(s)")
-        for res, psi in zip(b.results, b.vectors):
-            sol = optimizer.promote_solution(psi, f.d * (f.d - 2),
+        for res in b.results:
+            sol = optimizer.promote_solution(res.vector, f.d * (f.d - 2),
                                              label=f"sic{n} of {os.path.basename(args.out)}")
             prov = (f"sicladder climb from sha256:{vector_digest(f.vector)[:16]}"
                     f" {tag} defect {res.defect_full:.3e}")
@@ -292,7 +293,7 @@ def _naimark_row(source):
     overlap^2 1/(d-1)^2. A source that is not a SIC fails the row."""
     d = source.d
     try:
-        comp = frames.naimark_complement(ladder.lift_fiducial(source).blocks, d)
+        comp = frames.naimark_complement(ladder.lift_fiducial(source), d)
     except NotASic:
         return "etf-naimark", np.inf
     _, coords = frames.restrict_to_span(comp)
@@ -319,9 +320,9 @@ def cmd_verify(args):
                 rows += _verify_one(sub, source, levels, explicit,
                                     prefix=f"branch{bi}-sic{si}:")
             if "alignment" in levels and len(vectors) == 3:
-                # three solutions of one branch: an orbit of the small side's
-                # order-3 symmetry, equidistant on the family's equator
-                held = optimizer.equator_geometry_check(vectors, source.d)
+                # three solutions of one branch: an orbit of the branch's
+                # small-side generator, equidistant on the family's equator
+                held = optimizer.equator_geometry_check(vectors, b["generator"], source.d)
                 rows.append((f"branch{bi}:equator", 0.0 if held else np.inf))
     else:
         print(f"error: unknown artifact kind {kind!r}", file=sys.stderr)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCompletion, DimensionMismatch, NotOrthonormal, SicladderError
+from .errors import BadCompletion, DimensionMismatch, NotOrthonormal
 from .heisenberg import wh_orbit
 from .linalg import eig_unitary, principal_angles
 
@@ -18,7 +18,6 @@ from .linalg import eig_unitary, principal_angles
 @dataclass
 class EtfCertificate:
     is_tight: bool
-    tight_constant: float
     is_equiangular: bool
     common_overlap_sq: float
     max_deviation: float
@@ -36,19 +35,16 @@ def check_tight(M, tol=1e-8):
     r, N = M.shape
     norms = np.linalg.norm(M, axis=0)
     if np.min(norms) < 1e-14:
-        return EtfCertificate(is_tight=False, tight_constant=0.0,
-                              is_equiangular=False, common_overlap_sq=0.0,
-                              max_deviation=float("inf"))
+        return EtfCertificate(is_tight=False, is_equiangular=False,
+                              common_overlap_sq=0.0, max_deviation=float("inf"))
     M = M / norms
-    alpha = N / r
-    dev_tight = np.abs(M @ M.conj().T - alpha * np.eye(r)).max()
+    dev_tight = np.abs(M @ M.conj().T - (N / r) * np.eye(r)).max()
     G = M.conj().T @ M
     off = np.abs(G[~np.eye(N, dtype=bool)]) ** 2 if N > 1 else np.array([0.0])
     common = float(np.mean(off))
     dev_ang = float(np.max(np.abs(off - common))) if N > 1 else 0.0
     return EtfCertificate(
         is_tight=bool(dev_tight <= tol),
-        tight_constant=float(alpha),
         is_equiangular=bool(dev_ang <= tol),
         common_overlap_sq=common,
         max_deviation=float(max(dev_tight, dev_ang)),
@@ -79,12 +75,17 @@ def naimark_complement(x_blocks, d):
     """Generator of the frame that an orthonormal completion of the given
     blocks spans.
 
-    Stacking the covariant generators of the blocks and of the completion and
-    scaling by 1/sqrt(d) forms a d^2 x d^2 unitary; the complement frame is
-    the lower block. The completing vectors are the canonical eigenbasis of
-    the rank-deficient direction of the projector sum_r |x_r><x_r| (its
-    eigenvalue -1 sector after reflection), which keeps the output
-    reproducible.
+    The blocks must be orthonormal (NotOrthonormal otherwise). The completing
+    vectors are the canonical eigenbasis of the rank-deficient direction of
+    the projector sum_r |x_r><x_r| (its eigenvalue -1 sector after
+    reflection), which keeps the output reproducible.
+
+    Stacked under the blocks' own covariant generator and scaled by
+    1/sqrt(d), the result forms a d^2 x d^2 unitary for any orthonormal
+    blocks: blocks and completion together are an orthonormal basis of C^d,
+    and covariant_generator is tight exactly when its blocks are orthonormal
+    (tests/test_frames.py::TestTightnessBlockEquivalence). A check of that
+    stack would read roundoff, so none is made.
     """
     blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
     if any(len(x) != d for x in blocks):
@@ -97,12 +98,7 @@ def naimark_complement(x_blocks, d):
     comp_blocks = [comp[:, c] for c in range(comp.shape[1])]
     if len(comp_blocks) != d - k:
         raise BadCompletion(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
-    M = covariant_generator(comp_blocks, d)
-    stacked = np.vstack([covariant_generator(blocks, d), M]) / np.sqrt(d)
-    dev = np.abs(stacked @ stacked.conj().T - np.eye(d * d)).max()
-    if not dev <= 1e-10:
-        raise SicladderError(f"stacked-unitary certificate failed: {dev:.3e}")
-    return M
+    return covariant_generator(comp_blocks, d)
 
 
 def grassmann_equidistance(subspace_bases, tol=1e-8):

@@ -61,15 +61,10 @@ def h_conjugate(F, d):
 # symmetric-subspace machinery
 
 
-@dataclass
-class SymLiftBlocks:
-    d: int
-    blocks: list  # (d+1)/2 orthonormal vectors in C^d
-
-
 def lift_fiducial(f):
     """Blocks of the doubled fiducial sqrt((d+1)/2) |psi> (x) |psi> over the
-    (d+1)/2 symmetric blocks of C^d (x) C^d.
+    (d+1)/2 symmetric blocks of C^d (x) C^d, as the rows of a ((d+1)/2, d)
+    array.
 
     Basis pairs (u, v) with v - u = x are relabeled (x, i) by u = x(d-1)/2
     + i, and block x >= 1 is the symmetric combination of the pairs at x and
@@ -88,7 +83,7 @@ def lift_fiducial(f):
     dev = np.abs(L.conj() @ L.T - np.eye(kap)).max()
     if not dev <= 1e-8:
         raise SicladderError(f"lift blocks deviate from orthonormality by {dev:.3e}")
-    return SymLiftBlocks(d=d, blocks=list(L))
+    return L
 
 
 @dataclass
@@ -115,8 +110,7 @@ def generalized_parity(f):
             dest, ph = _phase_gather(d, -i % d, -j % d)
             P[dest, s] += (table.phases[i, (h * j) % d] ** 2) * ph
     P /= d
-    lift = lift_fiducial(f)
-    B = np.column_stack(lift.blocks)
+    B = lift_fiducial(f).T
     P2 = 2 * (B @ B.conj().T) - np.eye(d)
     dev = float(np.abs(P - P2).max())
     if not dev <= 1e-9:
@@ -285,7 +279,6 @@ class ProtoFamily:
     e_basis: LabeledBasis
     f_basis: LabeledBasis
     blocks: list              # [(f_indices, e_indices)] sorted by f label
-    target_exponent: int
     conjugate: bool = False
 
     @property
@@ -370,7 +363,7 @@ def make_pairing(f_basis, e_basis, target_exponent):
 def make_proto_family(f, e_basis, f_basis, target_exponent, conjugate=False):
     fam = ProtoFamily(d=f.d, e_basis=e_basis, f_basis=f_basis,
                       blocks=make_pairing(f_basis, e_basis, target_exponent),
-                      target_exponent=target_exponent, conjugate=conjugate)
+                      conjugate=conjugate)
     if conjugate and fam.block_sizes != [1, 1, 1]:
         raise BadPairing(
             f"conjugate pairing needs three singleton blocks, got {fam.block_sizes}")

@@ -1,8 +1,10 @@
 """Dense complex linear algebra used by every other module.
 
 All functions are pure and operate on plain numpy arrays. Vectors are 1-d
-complex arrays, matrices 2-d with column eigenvectors. Tolerances are explicit
-parameters with structural default 1e-10 (well-conditioned desk-scale checks).
+complex arrays, matrices 2-d with column eigenvectors. The tolerances of
+phase_fix_columns and eig_unitary are explicit parameters with defaults 1e-8
+and 1e-10 (well-conditioned desk-scale checks); principal_angles checks its
+inputs' orthonormality at a fixed 1e-8.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .errors import DimensionMismatch, NotOrthonormal, NotUnitary, RankDeficient
 class EigenDecomposition(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal for normal input
-    tolerance: float
 
 
 def phase_fix_columns(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -78,10 +79,10 @@ def eig_unitary(A: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
         pos += m
     # re-sort groups by phase of representative (seam merge can disorder them)
     order = np.argsort(np.angle(out_vals) % (2 * np.pi), kind="stable")
-    return EigenDecomposition(out_vals[order], phase_fix_columns(out_vecs[:, order]), tol)
+    return EigenDecomposition(out_vals[order], phase_fix_columns(out_vecs[:, order]))
 
 
-def _canonical_eigenbasis(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _canonical_eigenbasis(q: np.ndarray) -> np.ndarray:
     """Canonical orthonormal basis of span(q): project standard basis vectors
     onto the span and keep the ones with nonnegligible residual, in index order."""
     n, m = q.shape

@@ -47,11 +47,15 @@ ROUTE_DEFAULTS = {3: (3000, None), 6: (8000, 9)}
 
 @dataclass
 class SearchResult:
+    """One solution of a family: its canonical params, their unit vector in
+    global indexing and its full defect. The climb adds the vector's
+    alignment certificate against the source's overlap table."""
     params: np.ndarray
-    defect_partial: float
+    vector: np.ndarray
     defect_full: float
     iterations: int   # 0 from the closed-form solve
     seed_used: int    # restart index within the config's seed stream; 0 from the solve
+    alignment: ladder.AlignmentCertificate = None
 
 
 @functools.lru_cache(maxsize=16)
@@ -128,32 +132,32 @@ def _critical_points(family, N):
 
 
 def minimize(family, cfg):
-    """The family members that reach cfg.target_defect in full defect,
-    deduplicated by ray equality and sorted by defect_full ascending.
+    """The family members that reach cfg.target_defect in full defect, as
+    SearchResults deduplicated by ray equality and sorted by defect_full
+    ascending.
 
     A one-parameter family is solved in closed form (_critical_points): the
-    results are all its members at or below the target, with seed_used 0,
-    iterations 0 and defect_partial equal to defect_full, so an empty list
-    shows that none exists. restarts, max_iters, seed and term_budget do not
-    apply there.
+    results are all its members at or below the target, with seed_used 0
+    and iterations 0, so an empty list shows that none exists. restarts,
+    max_iters, seed and term_budget do not apply there.
     Larger families get multistart Nelder-Mead: identical configs give
     identical outputs, and each restart draws its start from its own seeded
     stream.
     """
     N = family.d * (family.d - 2)
     if family.n_params == 1:
-        raw = [(SearchResult(params=params, defect_partial=full, defect_full=full,
-                             iterations=0, seed_used=0), psi)
+        raw = [SearchResult(params=params, vector=psi, defect_full=full,
+                            iterations=0, seed_used=0)
                for params, psi, full in _critical_points(family, N)
                if full <= cfg.target_defect]
     else:
         raw = _nelder_mead(family, cfg, N)
-    raw.sort(key=lambda z: z[0].defect_full)
+    raw.sort(key=lambda r: r.defect_full)
     kept = []
-    for res, psi in raw:
-        if not any(abs(np.vdot(psi, q)) > 1 - 1e-8 for _, q in kept):
-            kept.append((res, psi))
-    return [res for res, _ in kept]
+    for res in raw:
+        if not any(abs(np.vdot(res.vector, k.vector)) > 1 - 1e-8 for k in kept):
+            kept.append(res)
+    return kept
 
 
 def _scipy_minimize(*args, **kwargs):
@@ -162,8 +166,8 @@ def _scipy_minimize(*args, **kwargs):
 
 
 def _nelder_mead(family, cfg, N):
-    """The (result, vector) pairs of the restarts that reached
-    cfg.target_defect in full defect."""
+    """The SearchResults of the restarts that reached cfg.target_defect in
+    full defect."""
     npar = family.n_params
     max_iters, budget = ROUTE_DEFAULTS[family.f_basis.order]
     if cfg.max_iters is not None:
@@ -198,11 +202,9 @@ def _nelder_mead(family, cfg, N):
         params = ladder.canonical_params(family, r.x)
         psi = ladder.build_proto(family, params)
         full = sic_defect(psi, N)
-        part = full if terms is None else _partial_defect(psi, terms, N)
         if full <= cfg.target_defect:
-            raw.append((SearchResult(params=params, defect_partial=part,
-                                     defect_full=full, iterations=int(r.nit),
-                                     seed_used=t), psi))
+            raw.append(SearchResult(params=params, vector=psi, defect_full=full,
+                                    iterations=int(r.nit), seed_used=t))
     return raw
 
 
@@ -240,40 +242,32 @@ def check_known_polynomial_35(sigma, tol=1e-6):
     return bool(abs(value) <= tol * float(np.linalg.norm(POLY_COEFFS_35)))
 
 
-def equator_geometry_check(solutions, d):
-    """The three solutions sit equidistantly and are permuted by an order-3
-    symmetry of the small factor.
+def equator_geometry_check(solutions, generator, d):
+    """The three solutions of a branch sit equidistantly and are permuted
+    by the branch's own order-3 generator F of the small factor.
 
-    True iff all pairwise Fubini-Study distances agree within 1e-8 and some
-    order-3 small-side symplectic, acting as U (x) 1 in global indexing,
-    cyclically permutes the three rays within 1e-8.
+    True iff all pairwise Fubini-Study distances agree within 1e-8 and
+    U_F (x) 1 cyclically permutes the three rays within 1e-8.
     """
     if len(solutions) != 3:
         raise WrongCount(f"expected 3 solutions, got {len(solutions)}")
     sols = [np.asarray(s, dtype=complex) for s in solutions]
-    n1 = d - 2
     dists = []
     for a in range(3):
         for b in range(a + 1, 3):
             dists.append(np.arccos(min(1.0, abs(np.vdot(sols[a], sols[b])))))
     if max(dists) - min(dists) > 1e-8:
         return False
-    g = crt_index(n1, d)
-    for F in order3_elements(n1):
-        # V^T (U_F (x) 1) V, by index
-        U = np.kron(symplectic_unitary(F, n1), np.eye(d))[np.ix_(g, g)]
-        perm = []
-        for s in sols:
-            img = U @ s
-            match = [j for j, q in enumerate(sols)
-                     if abs(np.vdot(q, img)) > 1 - 1e-8]
-            if len(match) != 1:
-                perm = None
-                break
-            perm.append(match[0])
-        if perm is not None and sorted(perm) == [0, 1, 2] and perm != [0, 1, 2]:
-            return True
-    return False
+    U = symplectic_unitary(generator, d - 2)
+    g = crt_index(d - 2, d)
+    perm = []
+    for s in sols:
+        img = (U @ ladder.to_tensor(s, d)).ravel()[g]
+        match = [j for j, q in enumerate(sols) if abs(np.vdot(q, img)) > 1 - 1e-8]
+        if len(match) != 1:
+            return False
+        perm.append(match[0])
+    return sorted(perm) == [0, 1, 2] and perm != [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +280,7 @@ class BranchOutcome:
     target_exponent: int = None
     feasible: bool = False
     n_params: int = None
-    results: list = field(default_factory=list)    # SearchResult
-    vectors: list = field(default_factory=list)    # global unit vectors
-    certificates: list = field(default_factory=list)
+    results: list = field(default_factory=list)    # SearchResult, alignment set
     error: str = ""
 
 
@@ -301,10 +293,8 @@ class ClimbOutcome:
 
     @property
     def solutions(self):
-        out = []
-        for b in self.branches:
-            out.extend(zip(b.results, b.vectors))
-        return out
+        """(result, vector) of every solution, in branch order."""
+        return [(r, r.vector) for b in self.branches for r in b.results]
 
 
 SECTOR_NAMES = {"1": 0, "w": 1, "w2": 2, "ω": 1, "ω2": 2, "ω²": 2}
@@ -397,12 +387,9 @@ def _climb(source, sector, all_generators, conjugate, cfg, involutions):
                 br.error = str(ex)
                 continue
             br.n_params = fam.n_params
-            results = minimize(fam, cfg)
-            for res in results:
-                psi = ladder.build_proto(fam, res.params)
-                br.results.append(res)
-                br.vectors.append(psi)
-                br.certificates.append(ladder.verify_alignment(psi, theta))
+            br.results = minimize(fam, cfg)
+            for res in br.results:
+                res.alignment = ladder.verify_alignment(res.vector, theta)
             if br.results and not sweep_all:
                 done = True
                 break

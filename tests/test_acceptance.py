@@ -233,7 +233,7 @@ def test_criterion_10_climb_15_to_195(c10):
     res, v = out.solutions[0]
     f195 = opt.promote_solution(v, 195, label="dim195")
     assert res.defect_full <= 1e-10
-    assert all(c.passes for b in out.branches for c in b.certificates)
+    assert all(r.alignment.passes for b in out.branches for r in b.results)
     assert fid.symmetry_group_order(f195) == 12
     _say(10, f"converged, defect {res.defect_full:.1e}, symmetry order 12, "
              f"{elapsed:.0f}s; angle convention reported separately")

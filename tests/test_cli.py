@@ -376,6 +376,19 @@ class TestVerify:
         assert rc == 1
         assert rows[f"branch{bi}:equator"] == "FAIL"
 
+    def test_another_generator_fails_the_equator_row(self, art, tmp_path, capsys):
+        # the row tests the branch's own generator, not every order-3 element
+        body = json.loads((art / "climb15.json").read_text())
+        bi = next(i for i, b in enumerate(body["branches"]) if len(b["solutions"]) == 3)
+        assert body["branches"][bi]["generator"] != [[0, 1], [2, 2]]
+        body["branches"][bi]["generator"] = [[0, 1], [2, 2]]
+        p = tmp_path / "regenerated.json"
+        cli.save_json(str(p), body)
+        rc = cli.main(["verify", "--input", str(p), "--level", "alignment"])
+        rows = _rows(capsys.readouterr().out)
+        assert rc == 1
+        assert rows[f"branch{bi}:equator"] == "FAIL"
+
 
 class TestReportOverlaps:
     def test_csv_shape_and_origin_row(self, art, capsys):

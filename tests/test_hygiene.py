@@ -2,7 +2,8 @@
 every private module-level function or class is read, and every public one
 has a reader outside the unit tests: package code outside its own
 definition, a name in perfbench/*.py (spans.TRACED names functions as
-strings), or tests/test_acceptance.py.
+strings), or tests/test_acceptance.py. Every field of a dataclass or
+NamedTuple in the package is read by attribute name in those same places.
 
 __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
@@ -103,6 +104,39 @@ def test_public_definitions_have_a_reader():
                    and node.name not in readers | elsewhere
                    | _read_names(tree, skip=node, attributes=True)]
     assert not unread, f"public definitions with no reader: {unread}"
+
+
+# fields kept without a reader, each with the reason; an entry that gains a
+# reader fails the test below until it is dropped from here
+UNREAD_FIELDS = {
+    # the per-restart records of the climb result (ROADMAP item 8) report it
+    "SearchResult.iterations",
+}
+
+
+def _is_record(node):
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                for d in decorators)
+            or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+                   for b in node.bases))
+
+
+def test_record_fields_have_a_reader():
+    # a field that only unit tests read is state kept for nobody
+    readers = set()
+    for path in [*PACKAGE, *(SRC.parents[1] / "perfbench").glob("*.py"),
+                 Path(__file__).parent / "test_acceptance.py"]:
+        readers |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f"{node.name}.{st.target.id}": st.target.id
+              for path in MODULES for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for st in node.body
+              if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)}
+    assert UNREAD_FIELDS <= set(fields)
+    unread = sorted(name for name, attr in fields.items() if attr not in readers)
+    assert unread == sorted(UNREAD_FIELDS), f"record fields with no reader: {unread}"
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

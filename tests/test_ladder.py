@@ -106,21 +106,20 @@ class TestLift:
         f = request.getfixturevalue(name)
         d, kap = f.d, (f.d + 1) // 2
         L = np.sqrt(kap) * (symmetric_reindex(d) @ np.kron(f.vector, f.vector))
-        blocks = np.array(lad.lift_fiducial(f).blocks)
+        blocks = lad.lift_fiducial(f)
+        assert blocks.shape == (kap, d)
         assert np.abs(blocks - L[:kap * d].reshape(kap, d)).max() <= 1e-15
         # psi (x) psi is symmetric, so the antisymmetric blocks vanish
         assert np.abs(L[kap * d:]).max() <= 1e-15
 
     def test_block_count_and_orthonormality(self, f5):
-        L = lad.lift_fiducial(f5)
-        assert len(L.blocks) == 3
-        B = np.column_stack(L.blocks)
+        B = lad.lift_fiducial(f5).T
+        assert B.shape == (5, 3)
         assert np.abs(B.conj().T @ B - np.eye(3)).max() < 1e-10
 
     def test_projector_identity(self, f5):
         # sum of block projectors = (1 + parity)/2
-        L = lad.lift_fiducial(f5)
-        B = np.column_stack(L.blocks)
+        B = lad.lift_fiducial(f5).T
         P = lad.generalized_parity(f5)
         assert np.abs(2 * B @ B.conj().T - np.eye(5) - P.matrix).max() < 1e-9
 
@@ -129,7 +128,7 @@ class TestLift:
         L = lad.lift_fiducial(f5)
         H = h_matrix(d)
         for i, j in itertools.product(range(d), repeat=2):
-            s = sum(np.vdot(x, displacement(d, i, j) @ x) for x in L.blocks)
+            s = sum(np.vdot(x, displacement(d, i, j) @ x) for x in L)
             hi, hj = (H[0, 0] * i) % d, (H[1, 1] * j) % d
             doubled = np.vdot(psi, displacement(d, hi, hj) @ psi) ** 2
             assert abs(s - 3 * doubled) < 1e-10

@@ -101,8 +101,14 @@ class TestMinimize:
         for r in sols35:
             psi = lad.build_proto(fam35, r.params)
             assert abs(fid.sic_defect(psi, 35) - r.defect_full) <= 1e-14
-            if r.defect_partial <= 1e-18:
-                assert r.defect_full <= 1e-10
+
+    def test_each_result_carries_its_vector(self, sols5, fam5_solving, sols35, fam35):
+        # closed form, then Nelder-Mead: the vector minimize deduplicated on
+        # is the proto vector of the canonical params, bit for bit
+        for sols, fam in ((sols5, fam5_solving), (sols35, fam35)):
+            assert sols
+            for r in sols:
+                assert np.array_equal(r.vector, lad.build_proto(fam, r.params))
 
     def test_nelder_mead_determinism(self, sols35, fam35):
         again = opt.minimize(fam35, NM35)
@@ -264,25 +270,39 @@ class TestClimb35:
 
     def test_alignment_certificates_recorded(self, climb35):
         br = climb35.branches[0]
-        assert len(br.certificates) == 3
-        assert all(c.passes for c in br.certificates)
+        assert len(br.results) == 3
+        assert all(r.alignment.passes for r in br.results)
+
+
+# the generator of fam5_solving's branch, and its square
+F5 = (canonical_order3(3) @ canonical_order3(3)) % 3
+F5_SQUARED = (F5 @ F5) % 3
 
 
 class TestEquatorGeometry:
-    def test_the_three_climb_solutions(self, sols5, fam5_solving):
-        vecs = [lad.build_proto(fam5_solving, r.params) for r in sols5]
-        assert opt.equator_geometry_check(vecs, 5)
+    def test_the_three_climb_solutions(self, sols5):
+        vecs = [r.vector for r in sols5]
+        assert opt.equator_geometry_check(vecs, F5, 5)
+        assert opt.equator_geometry_check(vecs, F5_SQUARED, 5)
+
+    def test_another_order3_generator_fails(self, sols5):
+        # the rays are cycled by their branch's F and F^2 alone
+        vecs = [r.vector for r in sols5]
+        assert not opt.equator_geometry_check(vecs, [[0, 1], [2, 2]], 5)
+        held = [F.tolist() for F in order3_elements(3)
+                if opt.equator_geometry_check(vecs, F, 5)]
+        assert sorted(held) == sorted([F5.tolist(), F5_SQUARED.tolist()])
 
     def test_random_family_triple_fails(self, fam5_solving):
         rng = np.random.default_rng(12)
         vecs = [lad.build_proto(fam5_solving, rng.uniform(0, 2 * np.pi, 1))
                 for _ in range(3)]
-        assert not opt.equator_geometry_check(vecs, 5)
+        assert not opt.equator_geometry_check(vecs, F5, 5)
 
     def test_wrong_count(self, fam5_solving):
         v = lad.build_proto(fam5_solving, [0.5])
         with pytest.raises(WrongCount):
-            opt.equator_geometry_check([v, v], 5)
+            opt.equator_geometry_check([v, v], F5, 5)
 
 
 class TestClimbDriver:
@@ -297,7 +317,7 @@ class TestClimbDriver:
         feas = [b for b in climb15.branches if b.feasible]
         assert len(feas) == 2
         assert len(feas[0].results) == 0 and len(feas[1].results) == 3
-        assert all(c.passes for c in feas[1].certificates)
+        assert all(r.alignment.passes for r in feas[1].results)
 
     def test_third_root_name_on_order6_labels_raises(self):
         # the committed 15 source takes the refined step; "w" would force
