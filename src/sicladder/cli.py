@@ -105,8 +105,8 @@ def _fiducial_from_body(body, label=""):
 def load_artifact(path):
     """Parsed body plus, for fiducial files, the reconstructed fiducial.
 
-    Fails closed: an unknown schema_version or a non-finite entry in any
-    stored vector raises SicladderError.
+    Fails closed: an unknown schema_version or kind, or a non-finite entry
+    in any stored vector, raises SicladderError.
     """
     with open(path) as fh:
         body = json.load(fh)
@@ -116,7 +116,9 @@ def load_artifact(path):
     if version != SCHEMA_VERSION:
         raise SicladderError(
             f"unknown schema_version {version!r} (this version reads {SCHEMA_VERSION})")
-    kind = body.get("kind", "fiducial")
+    kind = body.get("kind")
+    if kind not in ("fiducial", "climb-report"):
+        raise SicladderError(f"unknown artifact kind {kind!r}")
     f = None
     if kind == "fiducial":
         f = _fiducial_from_body(body, label=os.path.basename(path))
@@ -240,10 +242,6 @@ def _ladder_dim_of(N):
     return 1 + r if r * r == N + 1 and r > 1 else None
 
 
-def _embedded_source(src):
-    return SicFiducial(d=int(src["dimension"]), vector=_unpairs(src["vector"]))
-
-
 def _verify_one(f, source, levels, explicit, prefix=""):
     """Certificate rows (name, error, passed) for one stored vector, with
     source the fiducial it was climbed from or None. explicit: the levels
@@ -274,9 +272,9 @@ def _verify_one(f, source, levels, explicit, prefix=""):
                     f"dimension {f.d} is not of the laddered form d(d-2)")
         else:
             try:
-                cols, rank = ladder.embedded_etf(f.vector, d, tol=PASS_TOL)
+                cols, rank = ladder.embedded_etf(f.vector, d)
                 _, coords = frames.restrict_to_span(cols)
-                cert = frames.check_tight(coords, tol=PASS_TOL)
+                cert = frames.check_tight(coords)
                 expect = d * (d - 1) // 2
                 rows.append((prefix + "etf-rank", float(abs(rank - expect))))
                 overlap_err = abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2)
@@ -297,7 +295,7 @@ def _naimark_row(source):
     except NotASic:
         return "etf-naimark", np.inf
     _, coords = frames.restrict_to_span(comp)
-    cert = frames.check_tight(coords, tol=PASS_TOL)
+    cert = frames.check_tight(coords)
     return "etf-naimark", max(cert.max_deviation,
                               abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2))
 
@@ -309,10 +307,10 @@ def cmd_verify(args):
 
     rows, source = [], None
     if kind == "climb-report" or body.get("source") is not None:
-        source = _embedded_source(body["source"])
+        source = _fiducial_from_body(body["source"])
     if kind == "fiducial":
         rows += _verify_one(f, source, levels, explicit)
-    elif kind == "climb-report":
+    else:
         for bi, b in enumerate(body["branches"]):
             vectors = [_unpairs(sol["vector"]) for sol in b["solutions"]]
             for si, v in enumerate(vectors):
@@ -324,9 +322,6 @@ def cmd_verify(args):
                 # small-side generator, equidistant on the family's equator
                 held = optimizer.equator_geometry_check(vectors, b["generator"], source.d)
                 rows.append((f"branch{bi}:equator", 0.0 if held else np.inf))
-    else:
-        print(f"error: unknown artifact kind {kind!r}", file=sys.stderr)
-        return 1
     if "etf" in levels and source is not None:
         rows.append(_naimark_row(source))
 

@@ -171,45 +171,45 @@ def _recipe_fiducial(d, vector, label):
                        symmetry_eigenvalue=complex(eigenvalue), label=label)
 
 
-def find_fiducial(d, restarts=20, seed=0, target=1e-16):
+def find_fiducial(d, restarts=20, seed=0):
     """Seeded multistart search for a SIC fiducial (_lm_restarts).
 
-    The first restart reaching the target defect wins. The same (d, seed)
-    gives the same bits in every process.
+    The first restart reaching defect 1e-16 wins. The same (d, seed) gives
+    the same bits in every process.
     """
     for t, (defect, ray) in zip(range(restarts), _lm_restarts(d, seed, 6000)):
-        if defect <= target:
+        if defect <= 1e-16:
             return _recipe_fiducial(d, ray(), f"dim{d}-seed{seed}-try{t}")
-    raise SearchFailed(f"no defect <= {target:g} fiducial in {restarts} restarts")
+    raise SearchFailed(f"no defect <= 1e-16 fiducial in {restarts} restarts")
 
 
-# Number of fiducial rays in the eigenspace of d's recipe, where it is
-# proven: tests/test_fiducials.py::TestSectorCount solves the equiangularity
-# equations on the d = 5 eigenspace's Bloch sphere exactly (a lex Groebner
-# basis over the rationals) and finds four real points, each one an LM ray.
-_SECTOR_RAYS = {5: 4}
+# Number of fiducial rays in the d = 5 search eigenspace, proven:
+# tests/test_fiducials.py::TestSectorCount solves the equiangularity
+# equations on the eigenspace's Bloch sphere exactly (a lex Groebner basis
+# over the rationals) and finds four real points, each one an LM ray.
+_SECTOR_RAYS = 4
 
 
-def sector_fiducials(d, tries=400, seed=17):
-    """All distinct fiducial rays in the eigenspace of d's recipe.
+def sector_fiducials(seed):
+    """All distinct fiducial rays in the eigenspace of the d = 5 recipe.
 
     Found by clustering seeded multistart solves (_lm_restarts); gauge-fixed
     and sorted by their rounded coordinates so the enumeration is
-    reproducible. Where the number of rays is certified (_SECTOR_RAYS: four
-    at d = 5), the restarts stop once that many are found, which returns the
-    same list as running all tries; tries stays the upper bound.
+    reproducible. The restarts stop at the certified count of rays
+    (_SECTOR_RAYS) or after 60, whichever comes first; stopping at the count
+    returns the same list as running all 60.
     """
     found = []
-    for _, (defect, ray) in zip(range(tries), _lm_restarts(d, seed, 4000)):
+    for _, (defect, ray) in zip(range(60), _lm_restarts(5, seed, 4000)):
         if defect < 1e-24:
             psi = ray()
             if not any(abs(abs(np.vdot(psi, q)) - 1) < 1e-8 for q in found):
                 found.append(psi)
-                if len(found) == _SECTOR_RAYS.get(d):
+                if len(found) == _SECTOR_RAYS:
                     break
     keyed = sorted((tuple(np.round(np.stack([v.real, v.imag], -1).ravel(), 9)), v)
                    for v in found)
-    return [_recipe_fiducial(d, v, f"dim{d}-sector{k}")
+    return [_recipe_fiducial(5, v, f"dim5-sector{k}")
             for k, (_, v) in enumerate(keyed)]
 
 
@@ -237,25 +237,25 @@ def _table_maps(src, dst, tol):
             yield np.array([[px[0], pz[0]], [px[1], pz[1]]])
 
 
-def _table_stabilizers(table, tol):
+def _table_stabilizers(table):
     """Determinant-1 matrices leaving the overlap table invariant, identity
-    included: candidates matched at 10 tol, each confirmed at tol."""
+    included: candidates matched at 1e-6, each confirmed at 1e-7."""
     d = table.shape[0]
-    for F in _table_maps(table, table, tol * 10):
+    for F in _table_maps(table, table, 1e-6):
         det = (F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]) % d
-        if det == 1 and _table_invariant_under(table, F, tol):
+        if det == 1 and _table_invariant_under(table, F, 1e-7):
             yield F
 
 
-def _ray_eigenvalue(v, U, tol):
-    """<v|U|v> when U maps the ray of v to itself within tol, else None."""
+def _ray_eigenvalue(v, U):
+    """<v|U|v> when U maps the ray of v to itself within 1e-7, else None."""
     lam = np.vdot(v, U @ v)
-    if abs(abs(lam) - 1) < tol and np.abs(U @ v - lam * v).max() < tol:
+    if abs(abs(lam) - 1) < 1e-7 and np.abs(U @ v - lam * v).max() < 1e-7:
         return lam
     return None
 
 
-def detect_order3_symmetry(f, tol=1e-7):
+def detect_order3_symmetry(f):
     """An order-3 symplectic stabilizing the fiducial, with its eigenvalue.
 
     The first order-3 element of the table stabilizer (_table_stabilizers)
@@ -265,17 +265,17 @@ def detect_order3_symmetry(f, tol=1e-7):
     v, d = _vector_of(f)
     table = overlap_table(v)
     I = np.eye(2, dtype=int)
-    for F in _table_stabilizers(table, tol):
+    for F in _table_stabilizers(table):
         if np.array_equal(F, I) or not np.array_equal((F @ F @ F) % d, I):
             continue
-        lam = _ray_eigenvalue(v, fix_phase_to_table(symplectic_unitary(F, d), 3), tol)
+        lam = _ray_eigenvalue(v, fix_phase_to_table(symplectic_unitary(F, d), 3))
         if lam is not None:
             k = int(np.round(np.angle(lam) * 3 / (2 * np.pi))) % 3
             return F, np.exp(2j * np.pi * k / 3)
     return None
 
 
-def detect_scalar_symmetry(f, tol=1e-7):
+def detect_scalar_symmetry(f):
     """A scalar symplectic b*identity (b^2 = 1, b != +-1 mod d) fixing the ray.
 
     Scalars are read off the table stabilizer (_table_stabilizers), smallest
@@ -284,20 +284,20 @@ def detect_scalar_symmetry(f, tol=1e-7):
     """
     v, d = _vector_of(f)
     table = overlap_table(v)
-    for F in _table_stabilizers(table, tol):
+    for F in _table_stabilizers(table):
         b = F[0, 0]
         if F[0, 1] or F[1, 0] or F[1, 1] != b or b in (1, d - 1):
             continue
-        if _ray_eigenvalue(v, symplectic_unitary(F, d), tol) is not None:
+        if _ray_eigenvalue(v, symplectic_unitary(F, d)) is not None:
             return F
     return None
 
 
-def symmetry_group_order(f, tol=1e-7):
+def symmetry_group_order(f):
     """Order of the symplectic stabilizer of the fiducial's ray.
 
     Counts the determinant-1 matrices leaving the overlap table invariant,
     identity included (_table_stabilizers).
     """
     v, _ = _vector_of(f)
-    return sum(1 for _ in _table_stabilizers(overlap_table(v), tol))
+    return sum(1 for _ in _table_stabilizers(overlap_table(v)))

@@ -23,8 +23,8 @@ class EtfCertificate:
     max_deviation: float
 
 
-def check_tight(M, tol=1e-8):
-    """Tightness and equiangularity certificate for a frame's generator M.
+def check_tight(M):
+    """Tightness and equiangularity certificate, within 1e-8, of a frame's generator M.
 
     Columns are normalized before testing, so the certificate describes the
     frame of unit vectors along the column directions; stacked-block
@@ -44,8 +44,8 @@ def check_tight(M, tol=1e-8):
     common = float(np.mean(off))
     dev_ang = float(np.max(np.abs(off - common))) if N > 1 else 0.0
     return EtfCertificate(
-        is_tight=bool(dev_tight <= tol),
-        is_equiangular=bool(dev_ang <= tol),
+        is_tight=bool(dev_tight <= 1e-8),
+        is_equiangular=bool(dev_ang <= 1e-8),
         common_overlap_sq=common,
         max_deviation=float(max(dev_tight, dev_ang)),
     )
@@ -63,10 +63,10 @@ def covariant_generator(x_blocks, d):
     return wh_orbit(np.array(blocks)).reshape(d * d, -1).T
 
 
-def _check_blocks_orthonormal(blocks, d, tol=1e-10):
+def _check_blocks_orthonormal(blocks):
     B = np.column_stack(blocks)
     dev = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
-    if not dev <= tol:
+    if not dev <= 1e-10:
         raise NotOrthonormal(f"blocks deviate from orthonormality by {dev:.3e}")
     return B
 
@@ -75,10 +75,10 @@ def naimark_complement(x_blocks, d):
     """Generator of the frame that an orthonormal completion of the given
     blocks spans.
 
-    The blocks must be orthonormal (NotOrthonormal otherwise). The completing
-    vectors are the canonical eigenbasis of the rank-deficient direction of
-    the projector sum_r |x_r><x_r| (its eigenvalue -1 sector after
-    reflection), which keeps the output reproducible.
+    The blocks must be orthonormal within 1e-10 (NotOrthonormal otherwise).
+    The completing vectors are the canonical eigenbasis of the rank-deficient
+    direction of the projector sum_r |x_r><x_r| (its eigenvalue -1 sector
+    after reflection), which keeps the output reproducible.
 
     Stacked under the blocks' own covariant generator and scaled by
     1/sqrt(d), the result forms a d^2 x d^2 unitary for any orthonormal
@@ -90,7 +90,7 @@ def naimark_complement(x_blocks, d):
     blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
     if any(len(x) != d for x in blocks):
         raise DimensionMismatch(f"blocks must each live in C^{d}")
-    B = _check_blocks_orthonormal(blocks, d)
+    B = _check_blocks_orthonormal(blocks)
     k = B.shape[1]
     refl = 2 * (B @ B.conj().T) - np.eye(d)  # unitary reflection
     dec = eig_unitary(refl, tol=1e-8)
@@ -101,8 +101,8 @@ def naimark_complement(x_blocks, d):
     return covariant_generator(comp_blocks, d)
 
 
-def grassmann_equidistance(subspace_bases, tol=1e-8):
-    """Whether all pairwise chordal distances between subspaces coincide.
+def grassmann_equidistance(subspace_bases):
+    """Whether all pairwise chordal distances of subspaces agree within 1e-8.
 
     Distance from principal angles: sqrt(sum sin^2 theta_i). Returns
     (equidistant, common distance); the common value is the pairwise mean.
@@ -117,12 +117,13 @@ def grassmann_equidistance(subspace_bases, tol=1e-8):
     if len(dists) == 0:
         return True, 0.0
     common = float(np.mean(dists))
-    return bool(np.max(np.abs(dists - common)) <= tol), common
+    return bool(np.max(np.abs(dists - common)) <= 1e-8), common
 
 
-def restrict_to_span(generator, tol=1e-8):
-    """Orthonormal span basis and in-span coordinates of a frame's columns."""
+def restrict_to_span(generator):
+    """Orthonormal span basis and in-span coordinates of a frame's columns;
+    the span keeps the singular values above 1e-8 of the largest."""
     q, s, _ = np.linalg.svd(generator, full_matrices=False)
-    keep = s > tol * s[0]
+    keep = s > 1e-8 * s[0]
     span = q[:, keep]
     return span, span.conj().T @ generator

@@ -153,14 +153,16 @@ def overlap_table(psi):
     return _diagonal_transform(np.conj(psi[_diagonal_tables(len(psi))[0]]) * psi)
 
 
-def weyl_commutation_check(d, tol=1e-12):
+def weyl_commutation_check(d):
     """True iff ZX = omega XZ, X^d = Z^d = 1, and every D_p D_q D_p^dag D_q^dag
-    is the scalar omega^<p,q> for a single bilinear form <p,q>, all within tol.
+    is the scalar omega^<p,q> for a single bilinear form <p,q>, all within
+    1e-12 (the scalar tests within 1e-11 d).
 
     The symplectic-form exponent is fitted from the computed scalars and then
     verified against all pairs, not assumed.
     """
     _check_dim(d)
+    tol = 1e-12
     w = omega(d)
     X = displacement(d, 1, 0)
     Z = displacement(d, 0, 1)
@@ -238,18 +240,16 @@ def crt_split_index(p, n1, n2):
     return (i % n1, (q1 * j) % n1), (i % n2, (q2 * j) % n2)
 
 
-def crt_split_certificate(n1, n2, ps=None):
-    """Max deviation of V D_p V^dag from D_{p'} (x) D_{p''} over the given
-    index list (all of them by default). Returns (max_err, max_phase_dev)
-    where max_phase_dev measures how far the implied global phase is from +1.
+def crt_split_certificate(n1, n2):
+    """Max deviation of V D_p V^dag from D_{p'} (x) D_{p''} over every index
+    p. Returns (max_err, max_phase_dev) where max_phase_dev measures how far
+    the implied global phase is from +1.
     """
     g = crt_index(n1, n2)
     N = n1 * n2
-    if ps is None:
-        ps = [(i, j) for i in range(N) for j in range(N)]
     max_err = 0.0
     max_ph = 0.0
-    for p in ps:
+    for p in np.ndindex(N, N):
         lhs = np.empty((N, N), dtype=complex)
         lhs[np.ix_(g, g)] = displacement(N, *p)   # V D_p V^T
         pa, pb = crt_split_index(p, n1, n2)

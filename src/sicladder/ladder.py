@@ -88,7 +88,6 @@ def lift_fiducial(f):
 
 @dataclass
 class GeneralizedParity:
-    d: int
     matrix: np.ndarray
     dual_deviation: float = 0.0
 
@@ -115,7 +114,7 @@ def generalized_parity(f):
     dev = float(np.abs(P - P2).max())
     if not dev <= 1e-9:
         raise SicladderError(f"generalized-parity routes disagree by {dev:.3e}")
-    return GeneralizedParity(d=d, matrix=P, dual_deviation=dev)
+    return GeneralizedParity(matrix=P, dual_deviation=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +172,17 @@ def refining_involutions(f):
     return None if invol_big is None else (invol_small, invol_big)
 
 
-def _fix_involution(R, tol=1e-7):
-    # square must be a scalar phase; divide by its principal root
+def _fix_involution(R):
+    # square must be a scalar phase within 1e-7; divide by its principal root
     n = R.shape[0]
     S = R @ R
     c = complex(np.trace(S)) / n
-    if not (abs(abs(c) - 1) <= tol and np.abs(S - c * np.eye(n)).max() <= tol):
+    if not (abs(abs(c) - 1) <= 1e-7 and np.abs(S - c * np.eye(n)).max() <= 1e-7):
         raise SicladderError("square of the restricted involution is not a scalar phase")
     return R * np.exp(-0.5j * np.angle(c))
 
 
-def _restricted_basis(B, U3, US=None, tol=1e-7):
+def _restricted_basis(B, U3, US=None):
     """Eigenbasis of the order-3 symmetry U3 restricted to span(B), labeled
     by third-root exponents.
 
@@ -198,14 +197,14 @@ def _restricted_basis(B, U3, US=None, tol=1e-7):
         RS = B.conj().T @ US @ B
         for name, U, Rn in (("order-3", U3, R), ("involution", US, RS)):
             dev = np.abs(U @ B - B @ Rn).max()
-            if not dev <= tol:
+            if not dev <= 1e-7:
                 raise SicladderError(f"{name} symmetry does not preserve the subspace ({dev:.3e})")
-        RS = _fix_involution(RS, tol=tol)
+        RS = _fix_involution(RS)
         comm = np.abs(R @ RS - RS @ R).max()
-        if not comm <= tol:
+        if not comm <= 1e-7:
             raise SicladderError(f"restricted symmetries do not commute ({comm:.3e})")
         R, order = R @ RS, 6
-    dec = eig_unitary(R, tol=tol)
+    dec = eig_unitary(R, tol=1e-7)
     vecs = phase_fix_columns(B @ dec.eigenvectors)
     labels = [_snap_root(x, order) for x in dec.eigenvalues]
     return LabeledBasis(vectors=vecs, labels=labels, order=order)
@@ -478,18 +477,18 @@ def verify_alignment(psi, theta_table, tol=1e-8):
         max_err_unit_condition=err_unit)
 
 
-def embedded_etf(psi, d, tol=1e-8):
+def embedded_etf(psi, d):
     """Orbit of the big-side displacements through psi, with its span rank.
 
     Returns (cols, rank): the d^2 columns (1 (x) D_p) psi, in global
     indexing, span d(d-1)/2 dimensions for aligned vectors and restrict to
     an equiangular tight frame there with squared overlap 1/(d-1)^2.
-    Requires the unit condition to hold (the cheap alignment gate
-    computable from psi alone).
+    Requires the unit condition to hold within 1e-8 (the cheap alignment
+    gate computable from psi alone).
     """
     n1 = d - 2
     A = to_tensor(psi, d)
-    if not _unit_condition_error(A, d) <= tol:
+    if not _unit_condition_error(A, d) <= 1e-8:
         raise AlignmentRequired("unit-overlap condition fails; not a proto vector")
     cols = covariant_generator(A, d)[crt_index(n1, d)]
     s = np.linalg.svd(cols, compute_uv=False)

@@ -1,10 +1,9 @@
 """Dense complex linear algebra used by every other module.
 
 All functions are pure and operate on plain numpy arrays. Vectors are 1-d
-complex arrays, matrices 2-d with column eigenvectors. The tolerances of
-phase_fix_columns and eig_unitary are explicit parameters with defaults 1e-8
-and 1e-10 (well-conditioned desk-scale checks); principal_angles checks its
-inputs' orthonormality at a fixed 1e-8.
+complex arrays, matrices 2-d with column eigenvectors. The tolerance of
+eig_unitary is a parameter with default 1e-10 (a well-conditioned
+desk-scale check); phase_fix_columns and principal_angles use a fixed 1e-8.
 """
 from __future__ import annotations
 
@@ -20,12 +19,12 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray  # columns, orthonormal for normal input
 
 
-def phase_fix_columns(B: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rescale each column so its first component of magnitude > tol is real positive."""
+def phase_fix_columns(B: np.ndarray) -> np.ndarray:
+    """Rescale each column so its first component of magnitude > 1e-8 is real positive."""
     B = np.array(B, dtype=complex, copy=True)
     for k in range(B.shape[1]):
         col = B[:, k]
-        sig = np.nonzero(np.abs(col) > tol)[0]
+        sig = np.nonzero(np.abs(col) > 1e-8)[0]
         if sig.size:
             z = col[sig[0]]
             B[:, k] = col * (np.conj(z) / abs(z))

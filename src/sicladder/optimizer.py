@@ -219,15 +219,16 @@ POLY_COEFFS_35 = [4375, -35000, 19222300, 70190980, 102366979,
                   70190980, 19222300, -35000, 4375]
 
 
-def check_known_phase_5(sigma, tol=1e-8):
-    """Whether e^{3 i sigma} equals the frozen dimension-5 climb constant.
+def check_known_phase_5(sigma):
+    """Whether e^{3 i sigma} equals the frozen dimension-5 climb constant,
+    within 1e-8.
 
     Also reports which of the three solution branches sigma sits on:
     e^{i sigma} over the principal cube root of the constant, snapped to a
     cube root of unity.
     """
     e3 = np.exp(3j * sigma)
-    ok = bool(abs(e3 - PHASE_CONSTANT_5) <= tol)
+    ok = bool(abs(e3 - PHASE_CONSTANT_5) <= 1e-8)
     root = PHASE_CONSTANT_5 ** (1 / 3)
     ratio = np.exp(1j * sigma) / root
     n = int(np.round(np.angle(ratio) * 3 / (2 * np.pi))) % 3
@@ -321,7 +322,7 @@ def climb(source, sector="auto", all_generators=False, conjugate=False, cfg=None
     return _climb(source, sector, all_generators, conjugate, cfg, involutions)
 
 
-def climb_refined(source, sector="auto", cfg=None):
+def climb_refined(source, cfg=None):
     """climb on the refined route, raising when it cannot be built.
 
     Kept as a name of its own because perfbench's worker calls it.
@@ -330,7 +331,7 @@ def climb_refined(source, sector="auto", cfg=None):
     if involutions is None:
         raise SicladderError("the refined step needs -1 a square mod d-2 and a "
                              "scalar involution symmetry of the source")
-    return _climb(source, sector, False, False, cfg, involutions)
+    return _climb(source, "auto", False, False, cfg, involutions)
 
 
 def _climb(source, sector, all_generators, conjugate, cfg, involutions):
@@ -408,18 +409,18 @@ def promote_solution(psi, d, label=""):
     return f
 
 
-def select_source_by_phase(seed=0, tries=60):
+def select_source_by_phase(seed=0):
     """The canonical dimension-5 climb source.
 
     The relevant eigenspace holds exactly four fiducials (a count proven in
     tests/test_fiducials.py::TestSectorCount); two of them give the frozen
     phase constant in the one-parameter climb and two give its conjugate
-    (the families are mirror images). Enumerate the sector
-    deterministically, which stops at the fourth ray (sector_fiducials),
-    and return the first fiducial whose climb lands on the frozen constant.
+    (the families are mirror images). Enumerate the sector from the seed,
+    which stops at the fourth ray (sector_fiducials), and return the first
+    fiducial whose climb lands on the frozen constant.
     The climbs are closed-form solves (minimize).
     """
-    for f in sector_fiducials(5, tries=tries, seed=seed):
+    for f in sector_fiducials(seed):
         out = climb(f)
         for res, _ in out.solutions:
             if check_known_phase_5(res.params[0])[0]:

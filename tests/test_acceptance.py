@@ -177,12 +177,12 @@ def test_criterion_08_embedded_etf_geometry(f5):
     cols, rank = lad.embedded_etf(psi, 5)
     assert rank == 10 == 5 * 4 // 2
     _, coords = fr.restrict_to_span(cols)
-    cert = fr.check_tight(coords, tol=1e-8)
+    cert = fr.check_tight(coords)
     assert cert.is_tight and cert.is_equiangular
     assert abs(cert.common_overlap_sq - 1.0 / 16) <= 1e-8
     subs = lad.translated_subspaces(psi, 5)
     assert len(subs) == 9
-    equal, dist = fr.grassmann_equidistance(subs, tol=1e-8)
+    equal, dist = fr.grassmann_equidistance(subs)
     assert equal and dist > 0.1
     _say(8, f"rank 10, overlap^2 1/16, 9 equidistant subspaces at {dist:.4f}")
 
@@ -191,7 +191,7 @@ def test_criterion_09_group_theory_suite():
     order3_expect = {5: (1, 2, 2), 7: (3, 2, 2), 9: (4, 3, 2),
                      13: (5, 4, 4), 15: (6, 5, 4)}
     for d in DIMS:
-        assert weyl_commutation_check(d, tol=1e-10)
+        assert weyl_commutation_check(d)
 
         for F in (canonical_order3(d), parity_matrix(d),
                   np.array([[1, 0], [1, 1]])):

@@ -162,6 +162,28 @@ class TestFailClosed:
         assert cli.main(["verify", "--input", p]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [None, "fiducials"])
+    def test_unknown_kind(self, art, tmp_path, capsys, kind):
+        def edit(body):
+            if kind is None:
+                del body["kind"]
+            else:
+                body["kind"] = kind
+        p = self._edited(art / "f5.json", tmp_path / "bad.json", edit)
+        assert cli.main(["verify", "--input", p]) == 1
+        captured = capsys.readouterr()
+        assert "unknown artifact kind" in captured.err
+        assert captured.out == ""
+
+    def test_embedded_source_of_wrong_length(self, art, tmp_path, capsys):
+        def edit(body):
+            body["source"]["vector"].append(["0", "0"])   # norm still 1
+        p = self._edited(art / "climb15.json", tmp_path / "bad.json", edit)
+        assert cli.main(["verify", "--input", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_non_object_json(self, tmp_path):
         p = tmp_path / "list.json"
         p.write_text("[1, 2]")

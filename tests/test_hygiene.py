@@ -3,7 +3,8 @@ every private module-level function or class is read, and every public one
 has a reader outside the unit tests: package code outside its own
 definition, a name in perfbench/*.py (spans.TRACED names functions as
 strings), or tests/test_acceptance.py. Every field of a dataclass or
-NamedTuple in the package is read by attribute name in those same places.
+NamedTuple in the package is read by attribute name in those same places,
+and every defaulted parameter takes two values over the calls there.
 
 __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
@@ -137,6 +138,80 @@ def test_record_fields_have_a_reader():
     assert UNREAD_FIELDS <= set(fields)
     unread = sorted(name for name, attr in fields.items() if attr not in readers)
     assert unread == sorted(UNREAD_FIELDS), f"record fields with no reader: {unread}"
+
+
+# defaulted parameters kept with a single value at every call site, each
+# with the reason; an entry that takes a second value fails the test below
+# until it is dropped from here
+SINGLE_VALUED = {
+    "check_known_polynomial_35.tol": "perfbench passes it by keyword",
+}
+
+
+def _constants(trees):
+    """repr of each module-level NAME = literal of the package, by name."""
+    out = {}
+    for tree in trees:
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                try:
+                    out[node.targets[0].id] = repr(ast.literal_eval(node.value))
+                except ValueError:
+                    pass
+    return out
+
+
+def _value(node, constants):
+    """repr of a literal or of a package constant read by name (PASS_TOL,
+    cli.PASS_TOL); None for anything else, which varies."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        name = getattr(node, "id", getattr(node, "attr", None))
+        return constants.get(name)
+
+
+def test_defaulted_parameters_take_two_values():
+    # a parameter that every caller sets alike is a constant with a knob on
+    # it; calls in the package, perfbench/*.py and tests/test_acceptance.py
+    # count, matched by name, and an omitted argument takes its default
+    trees = [ast.parse(p.read_text()) for p in MODULES]
+    constants = _constants(trees)
+    defaulted = {}
+    for tree in trees:
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                a = fn.args
+                params = [x.arg for x in a.posonlyargs + a.args]
+                defaults = dict(zip(params[len(params) - len(a.defaults):], a.defaults))
+                defaults.update((x.arg, v) for x, v in zip(a.kwonlyargs, a.kw_defaults)
+                                if v is not None)
+                if defaults:
+                    defaulted[fn.name] = (params, defaults)
+    values = {}
+    for path in [*MODULES, *(SRC.parents[1] / "perfbench").glob("*.py"),
+                 Path(__file__).parent / "test_acceptance.py"]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in defaulted:
+                continue
+            params, defaults = defaulted[name]
+            starred = (any(isinstance(x, ast.Starred) for x in call.args)
+                       or any(k.arg is None for k in call.keywords))
+            given = dict(zip(params, call.args))
+            given.update((k.arg, k.value) for k in call.keywords)
+            for p, default in defaults.items():
+                node = given.get(p, default)
+                values.setdefault(f"{name}.{p}", set()).add(
+                    None if starred else _value(node, constants))
+    single = {p for p, v in values.items() if len(v) == 1 and None not in v}
+    exempt = set(SINGLE_VALUED)
+    assert not single - exempt, \
+        f"defaulted parameters with one value at every call site: {sorted(single - exempt)}"
+    assert not exempt - single, f"exempt parameters that now vary: {sorted(exempt - single)}"
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

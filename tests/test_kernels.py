@@ -150,7 +150,7 @@ def seed_restricted_pair_basis(B, U3, US, tol=1e-7):
     RS = B.conj().T @ US @ B
     for U, R in ((U3, R3), (US, RS)):
         assert np.abs(U @ B - B @ R).max() <= tol
-    RS = lad._fix_involution(RS, tol=tol)
+    RS = lad._fix_involution(RS)
     assert np.abs(R3 @ RS - RS @ R3).max() <= tol
     dec = eig_unitary(R3 @ RS, tol=tol)
     vecs = phase_fix_columns(B @ dec.eigenvectors)
