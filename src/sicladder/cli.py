@@ -85,14 +85,20 @@ def save_json(path, body):
         fh.write("\n")
 
 
-def _fiducial_from_body(body, label=""):
-    v = _unpairs(body["vector"])
+def _checked_vector(rows, d, what):
+    """A stored vector, refused unless its entries are finite, its norm is 1
+    to 1e-12 and its length is d."""
+    v = _unpairs(rows, what)
     if abs(np.linalg.norm(v) - 1) > 1e-12:
-        raise SicladderError("stored vector is not normalized to 1e-12")
-    d = int(body["dimension"])
+        raise SicladderError(f"stored {what} is not normalized to 1e-12")
     if len(v) != d:
-        raise SicladderError(f"dimension field {d} does not match vector length {len(v)}")
-    f = SicFiducial(d=d, vector=v, label=label)
+        raise SicladderError(f"dimension field {d} does not match {what} length {len(v)}")
+    return v
+
+
+def _fiducial_from_body(body, label=""):
+    d = int(body["dimension"])
+    f = SicFiducial(d=d, vector=_checked_vector(body["vector"], d, "vector"), label=label)
     sym = body.get("symmetry")
     if sym is not None:
         f.symmetry = np.array(sym["matrix"], dtype=int)
@@ -105,8 +111,9 @@ def _fiducial_from_body(body, label=""):
 def load_artifact(path):
     """Parsed body plus, for fiducial files, the reconstructed fiducial.
 
-    Fails closed: an unknown schema_version or kind, or a non-finite entry
-    in any stored vector, raises SicladderError.
+    Fails closed: an unknown schema_version or kind, a non-finite entry in
+    any stored vector, or a fiducial's or climb solution's vector that is
+    not unit-norm or of its dimension field's length, raises SicladderError.
     """
     with open(path) as fh:
         body = json.load(fh)
@@ -126,7 +133,8 @@ def load_artifact(path):
         _unpairs(body["source"]["vector"], what="source vector")
     for bi, b in enumerate(body.get("branches", [])):
         for si, sol in enumerate(b["solutions"]):
-            _unpairs(sol["vector"], what=f"branch {bi} solution {si} vector")
+            _checked_vector(sol["vector"], int(body["target_dimension"]),
+                            f"branch {bi} solution {si} vector")
     return kind, body, f
 
 
@@ -191,11 +199,9 @@ def cmd_fiducial_find(args):
 def cmd_climb(args):
     kind, body, f = load_artifact(args.input)
     if kind != "fiducial":
-        print(f"error: {args.input} is not a fiducial file", file=sys.stderr)
-        return 1
+        raise SicladderError(f"{args.input} is not a fiducial file")
     if not verify_sic(f, tol=PASS_TOL):
-        print("error: input does not verify as a SIC fiducial", file=sys.stderr)
-        return 1
+        raise SicladderError("input does not verify as a SIC fiducial")
     cfg = optimizer.SearchConfig(restarts=20 if args.restarts is None else args.restarts,
                                  seed=args.seed,
                                  max_iters=args.max_iters)
@@ -339,8 +345,7 @@ def cmd_verify(args):
 def cmd_report_overlaps(args):
     kind, body, f = load_artifact(args.input)
     if kind != "fiducial":
-        print(f"error: {args.input} is not a fiducial file", file=sys.stderr)
-        return 1
+        raise SicladderError(f"{args.input} is not a fiducial file")
     t = overlap_phases(f).phases
     rows = []
     for i in range(f.d):
@@ -435,10 +440,7 @@ def main(argv=None):
     except SearchFailed as ex:
         print(f"search failed: {ex}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except SicladderError as ex:
+    except (OSError, KeyError, ValueError, SicladderError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -19,16 +19,15 @@ import functools
 
 import numpy as np
 
-from .errors import (BadDimension, EmptyEigenspace, NoMatchingPhase,
-                     NotSymplectic)
-from .heisenberg import tau_powers
+from .errors import NoMatchingPhase, SicladderError
+from .heisenberg import _check_dim, tau_powers
 from .linalg import eig_unitary
 
 
 def _as_modmatrix(F, d):
     F = np.asarray(F, dtype=int) % d
     if F.shape != (2, 2):
-        raise NotSymplectic(f"expected a 2x2 integer matrix, got shape {F.shape}")
+        raise SicladderError(f"expected a 2x2 integer matrix, got shape {F.shape}")
     return F
 
 
@@ -49,11 +48,10 @@ def _closed_form(F, d):
 
 def symplectic_unitary(F, d):
     """Unitary representative of F in SL(2, Z_d), exact covariance, d odd."""
-    if d < 3 or d % 2 == 0:
-        raise BadDimension(f"odd dimension >= 3 required, got {d}")
+    _check_dim(d)
     F = _as_modmatrix(F, d)
     if not is_symplectic(F, d):
-        raise NotSymplectic(f"det != 1 mod {d}: {F.tolist()}")
+        raise SicladderError(f"det != 1 mod {d}: {F.tolist()}")
     a, b, g, e = int(F[0, 0]), int(F[0, 1]), int(F[1, 0]), int(F[1, 1])
     if np.gcd(b, d) == 1:
         return _closed_form(F, d)
@@ -62,7 +60,7 @@ def symplectic_unitary(F, d):
         if np.gcd((x * b + e) % d, d) == 1:
             break
     else:  # unreachable for det 1: some residue avoids every prime factor
-        raise NotSymplectic(f"no valid shear for {F.tolist()} mod {d}")
+        raise SicladderError(f"no valid shear for {F.tolist()} mod {d}")
     F1 = np.array([[0, d - 1], [1, x]])
     F2 = np.array([[(x * a + g) % d, (x * b + e) % d], [(-a) % d, (-b) % d]])
     return _closed_form(F1, d) @ _closed_form(F2, d)
@@ -79,7 +77,7 @@ def _expected_multiplicities(d, order):
             return (2 * k + 2, 2 * k + 1, 2 * k)
         if r == 5:
             return (2 * k + 1, 2 * k + 2, 2 * k + 2)
-        raise BadDimension(f"no multiplicity pattern for even d={d}")
+        raise SicladderError(f"no multiplicity pattern for even d={d}")
     raise ValueError(f"no multiplicity table for order {order}")
 
 
@@ -198,5 +196,5 @@ def eigenspace_basis(U, eigenvalue, tol=1e-8):
     dec = eig_unitary(U)
     mask = np.abs(dec.eigenvalues - eigenvalue) <= tol
     if not np.any(mask):
-        raise EmptyEigenspace(f"no eigenvalue within {tol} of {eigenvalue}")
+        raise SicladderError(f"no eigenvalue within {tol} of {eigenvalue}")
     return dec.eigenvectors[:, mask]

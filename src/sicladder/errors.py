@@ -1,43 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error is a SicladderError. A subclass exists only where
+package code catches it to tell that failure apart from the others; a
+failure that nothing tells apart raises SicladderError with its message.
+"""
 
 
 class SicladderError(Exception):
     """Base class for all package errors."""
 
 
-class NotUnitary(SicladderError):
-    pass
-
-
-class RankDeficient(SicladderError):
-    pass
-
-
-class DimensionMismatch(SicladderError):
-    pass
-
-
-class NotOrthonormal(SicladderError):
-    pass
-
-
-class BadDimension(SicladderError):
-    pass
-
-
-class NotCoprime(SicladderError):
-    pass
-
-
-class NotSymplectic(SicladderError):
-    pass
-
-
 class NoMatchingPhase(SicladderError):
-    pass
-
-
-class EmptyEigenspace(SicladderError):
     pass
 
 
@@ -53,17 +26,5 @@ class BadPairing(SicladderError):
     pass
 
 
-class ParamCountMismatch(SicladderError):
-    pass
-
-
 class AlignmentRequired(SicladderError):
-    pass
-
-
-class WrongCount(SicladderError):
-    pass
-
-
-class BadCompletion(SicladderError):
     pass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clifford import (canonical_order3, eigenspace_basis, fix_phase_to_table,
                        symplectic_unitary, zauner_matrix_standard)
-from .errors import BadDimension, RankDeficient, SearchFailed
+from .errors import SearchFailed, SicladderError
 from .heisenberg import _check_dim, overlap_table, wh_traces
 from .minpack import least_squares
 
@@ -97,7 +97,7 @@ def two_design_deviation(f):
     tau = omega^((d+1)/2) gives d G[k,l] = (T T^dag)[k, k-2l mod d], and
     l -> k-2l is a bijection, so the deviation is the max over (k, m) of
     |(T T^dag)[k,m] - d/(d+1) ([m = k] + [m = -k])|. Even d raises
-    BadDimension: there tau is no power of omega and l -> k-2l is not onto.
+    SicladderError: there tau is no power of omega and l -> k-2l is not onto.
     """
     v, d = _vector_of(f)
     _check_dim(d)
@@ -116,7 +116,7 @@ def default_symmetry(d):
         return canonical_order3(7), 1.0 + 0j, True
     if d == 9:
         return zauner_matrix_standard(9), 1.0 + 0j, False
-    raise BadDimension(f"fiducial search supports d in (5, 7, 9), got {d}")
+    raise SicladderError(f"fiducial search supports d in (5, 7, 9), got {d}")
 
 
 def symmetry_eigenspace(d, zauner, eigenvalue):
@@ -156,7 +156,7 @@ def _lm_restarts(d, seed, max_nfev):
     if real_coeffs:
         B, R = np.linalg.qr(np.real(B))
         if np.abs(np.diag(R)).min() < 1e-8:
-            raise RankDeficient("eigenspace has no real form to search")
+            raise SicladderError("eigenspace has no real form to search")
     resid, npar = _defect_residuals(B, d, real_coeffs)
     rng = np.random.default_rng(seed)
     while True:

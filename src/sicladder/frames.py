@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCompletion, DimensionMismatch, NotOrthonormal
+from .errors import SicladderError
 from .heisenberg import wh_orbit
 from .linalg import eig_unitary, principal_angles
 
@@ -59,7 +59,7 @@ def covariant_generator(x_blocks, d):
     """
     blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
     if len(blocks) < 1 or any(len(x) != d for x in blocks):
-        raise DimensionMismatch(f"blocks must each live in C^{d}")
+        raise SicladderError(f"blocks must each live in C^{d}")
     return wh_orbit(np.array(blocks)).reshape(d * d, -1).T
 
 
@@ -67,7 +67,7 @@ def _check_blocks_orthonormal(blocks):
     B = np.column_stack(blocks)
     dev = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
     if not dev <= 1e-10:
-        raise NotOrthonormal(f"blocks deviate from orthonormality by {dev:.3e}")
+        raise SicladderError(f"blocks deviate from orthonormality by {dev:.3e}")
     return B
 
 
@@ -75,7 +75,7 @@ def naimark_complement(x_blocks, d):
     """Generator of the frame that an orthonormal completion of the given
     blocks spans.
 
-    The blocks must be orthonormal within 1e-10 (NotOrthonormal otherwise).
+    The blocks must be orthonormal within 1e-10 (SicladderError otherwise).
     The completing vectors are the canonical eigenbasis of the rank-deficient
     direction of the projector sum_r |x_r><x_r| (its eigenvalue -1 sector
     after reflection), which keeps the output reproducible.
@@ -89,7 +89,7 @@ def naimark_complement(x_blocks, d):
     """
     blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
     if any(len(x) != d for x in blocks):
-        raise DimensionMismatch(f"blocks must each live in C^{d}")
+        raise SicladderError(f"blocks must each live in C^{d}")
     B = _check_blocks_orthonormal(blocks)
     k = B.shape[1]
     refl = 2 * (B @ B.conj().T) - np.eye(d)  # unitary reflection
@@ -97,7 +97,7 @@ def naimark_complement(x_blocks, d):
     comp = dec.eigenvectors[:, np.abs(dec.eigenvalues + 1) <= 1e-8]
     comp_blocks = [comp[:, c] for c in range(comp.shape[1])]
     if len(comp_blocks) != d - k:
-        raise BadCompletion(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
+        raise SicladderError(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
     return covariant_generator(comp_blocks, d)
 
 

@@ -42,12 +42,12 @@ import functools
 
 import numpy as np
 
-from .errors import BadDimension, NotCoprime
+from .errors import SicladderError
 
 
 def _check_dim(d):
     if d < 3 or d % 2 == 0:
-        raise BadDimension(f"odd dimension >= 3 required, got {d}")
+        raise SicladderError(f"odd dimension >= 3 required, got {d}")
 
 
 def omega(d):
@@ -207,7 +207,7 @@ def crt_index(n1, n2):
     Cached and read-only.
     """
     if np.gcd(n1, n2) != 1:
-        raise NotCoprime(f"gcd({n1},{n2}) != 1")
+        raise SicladderError(f"gcd({n1},{n2}) != 1")
     r = np.arange(n1 * n2)
     g = n2 * (r % n1) + r % n2
     g.setflags(write=False)
@@ -233,7 +233,7 @@ def crt_split_index(p, n1, n2):
     component picks up the inverse of the complementary modulus.
     """
     if np.gcd(n1, n2) != 1:
-        raise NotCoprime(f"gcd({n1},{n2}) != 1")
+        raise SicladderError(f"gcd({n1},{n2}) != 1")
     i, j = p
     q1 = pow(n2, -1, n1) if n1 > 1 else 0
     q2 = pow(n1, -1, n2) if n2 > 1 else 0

@@ -37,8 +37,7 @@ import numpy as np
 
 from .clifford import (eigenspace_basis, fix_phase_principal,
                        fix_phase_to_table, parity_operator, symplectic_unitary)
-from .errors import (AlignmentRequired, BadPairing, DimensionMismatch,
-                     NoMatchingPhase, NotASic, ParamCountMismatch,
+from .errors import (AlignmentRequired, BadPairing, NoMatchingPhase, NotASic,
                      SicladderError)
 from .fiducials import (_table_image, _table_maps, detect_scalar_symmetry,
                         overlap_phases, verify_sic)
@@ -248,7 +247,7 @@ def paired_bases(f, zauner_small, P_theta, involutions=None):
     f_basis = _restricted_basis(Bp, Uz_small, Us_small)
 
     if len(e_basis.labels) != half or len(f_basis.labels) != half:
-        raise DimensionMismatch(
+        raise SicladderError(
             f"expected {half} vectors per side, got e={len(e_basis.labels)} f={len(f_basis.labels)}")
     return e_basis, f_basis
 
@@ -376,7 +375,7 @@ def _coefficient_vector(family, params):
     params = np.atleast_1d(np.asarray(params, dtype=float))
     arg, mult, polar, su2, scale, scaled, n = family.coefficient_plan
     if len(params) != n:
-        raise ParamCountMismatch(f"need {n} parameters, got {len(params)}")
+        raise SicladderError(f"need {n} parameters, got {len(params)}")
     co = np.exp(params[arg] * mult)
     if len(polar):
         h = params[polar] / 2
@@ -451,7 +450,7 @@ def verify_alignment(psi, theta_table, tol=1e-8):
     n1 = d - 2
     psi = np.asarray(psi, dtype=complex)
     if len(psi) != n1 * d:
-        raise DimensionMismatch(f"expected a vector of length {n1 * d}")
+        raise SicladderError(f"expected a vector of length {n1 * d}")
     A = to_tensor(psi, d)
     err_unit = _unit_condition_error(A, d)
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrthonormal, NotUnitary, RankDeficient
+from .errors import SicladderError
 
 
 class EigenDecomposition(NamedTuple):
@@ -44,10 +44,10 @@ def eig_unitary(A: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if A.shape != (n, n):
-        raise DimensionMismatch(f"square matrix required, got {A.shape}")
+        raise SicladderError(f"square matrix required, got {A.shape}")
     herm_err = np.abs(A @ A.conj().T - np.eye(n)).max()
     if not herm_err <= tol:
-        raise NotUnitary(f"||A A^dag - 1||_max = {herm_err:.3e} > {tol:.1e}")
+        raise SicladderError(f"||A A^dag - 1||_max = {herm_err:.3e} > {tol:.1e}")
 
     vals, vecs = np.linalg.eig(A)
     order = np.argsort(np.angle(vals) % (2 * np.pi), kind="stable")
@@ -100,7 +100,7 @@ def _canonical_eigenbasis(q: np.ndarray) -> np.ndarray:
         if len(basis) == m:
             break
     if len(basis) != m:
-        raise RankDeficient("could not span eigenspace from standard basis projections")
+        raise SicladderError("could not span eigenspace from standard basis projections")
     return np.column_stack(basis)
 
 
@@ -115,8 +115,8 @@ def principal_angles(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         g = U.conj().T @ U
         err = np.abs(g - np.eye(U.shape[1])).max()
         if not err <= 1e-8:
-            raise NotOrthonormal(f"columns not orthonormal, deviation {err:.3e}")
+            raise SicladderError(f"columns not orthonormal, deviation {err:.3e}")
     if U1.shape[1] != U2.shape[1]:
-        raise DimensionMismatch("subspaces must have equal dimension")
+        raise SicladderError("subspaces must have equal dimension")
     sv = np.linalg.svd(np.asarray(U1).conj().T @ np.asarray(U2), compute_uv=False)
     return np.arccos(np.clip(np.sort(sv)[::-1], 0.0, 1.0))

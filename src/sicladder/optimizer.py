@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ladder
 from .clifford import canonical_order3, order3_elements, symplectic_unitary
-from .errors import BadPairing, NotASic, SicladderError, WrongCount
+from .errors import BadPairing, NotASic, SicladderError
 from .fiducials import (SicFiducial, detect_order3_symmetry, find_fiducial,
                         overlap_phases, sector_fiducials, sic_defect, verify_sic)
 from .heisenberg import crt_index, displaced_vector
@@ -251,7 +251,7 @@ def equator_geometry_check(solutions, generator, d):
     U_F (x) 1 cyclically permutes the three rays within 1e-8.
     """
     if len(solutions) != 3:
-        raise WrongCount(f"expected 3 solutions, got {len(solutions)}")
+        raise SicladderError(f"expected 3 solutions, got {len(solutions)}")
     sols = [np.asarray(s, dtype=complex) for s in solutions]
     dists = []
     for a in range(3):

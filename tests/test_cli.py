@@ -184,6 +184,27 @@ class TestFailClosed:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_climb_solution_of_wrong_length(self, art, tmp_path, capsys):
+        def edit(body):
+            body["branches"][1]["solutions"][0]["vector"].append(["0", "0"])   # norm still 1
+        p = self._edited(art / "climb15.json", tmp_path / "bad.json", edit)
+        assert cli.main(["verify", "--input", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: dimension field 15 does not match"
+                                " branch 1 solution 0 vector length 16\n")
+        assert captured.out == ""
+
+    def test_climb_solution_not_unit_norm(self, art, tmp_path, capsys):
+        def edit(body):
+            sol = body["branches"][1]["solutions"][0]
+            sol["vector"] = [[repr(2 * float(a)), repr(2 * float(b))] for a, b in sol["vector"]]
+        p = self._edited(art / "climb15.json", tmp_path / "bad.json", edit)
+        assert cli.main(["verify", "--input", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: stored branch 1 solution 0 vector"
+                                " is not normalized to 1e-12\n")
+        assert captured.out == ""
+
     def test_non_object_json(self, tmp_path):
         p = tmp_path / "list.json"
         p.write_text("[1, 2]")
@@ -266,15 +287,17 @@ class TestClimb:
             assert rc == 0
             assert ("note: --restarts not used" in capsys.readouterr().err) == noted
 
-    def test_non_sic_input_exits_one(self, tmp_path):
+    def test_non_sic_input_exits_one(self, tmp_path, capsys):
         p = _random_fiducial_file(tmp_path / "rand.json")
         rc = cli.main(["climb", "--input", p, "--out", str(tmp_path / "o.json")])
         assert rc == 1
+        assert capsys.readouterr().err == "error: input does not verify as a SIC fiducial\n"
 
-    def test_report_is_not_a_climb_input(self, art, tmp_path):
-        rc = cli.main(["climb", "--input", str(art / "climb15.json"),
-                       "--out", str(tmp_path / "o.json")])
+    def test_report_is_not_a_climb_input(self, art, tmp_path, capsys):
+        p = str(art / "climb15.json")
+        rc = cli.main(["climb", "--input", p, "--out", str(tmp_path / "o.json")])
         assert rc == 1
+        assert capsys.readouterr().err == f"error: {p} is not a fiducial file\n"
 
     def test_dim15_input_routes_to_refined_family(self, art, tmp_path):
         # auto-detection: a source above the base rungs with a scalar
@@ -451,9 +474,12 @@ class TestReportOverlaps:
         b = np.sort(np.angle(np.array(want)))
         assert np.abs(a - b).max() < 1e-8
 
-    def test_wrong_kind_exits_one(self, art):
-        rc = cli.main(["report-overlaps", "--input", str(art / "climb15.json")])
-        assert rc == 1
+    def test_wrong_kind_exits_one(self, art, capsys):
+        p = str(art / "climb15.json")
+        assert cli.main(["report-overlaps", "--input", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {p} is not a fiducial file\n"
+        assert captured.out == ""
 
 
 class TestSeedEnvironment:

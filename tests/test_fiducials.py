@@ -20,7 +20,7 @@ from sicladder import cli
 from sicladder import fiducials as fid
 from sicladder.clifford import (canonical_order3, symplectic_unitary,
                                 zauner_matrix_standard)
-from sicladder.errors import BadDimension, RankDeficient, SearchFailed
+from sicladder.errors import SearchFailed, SicladderError
 from sicladder.heisenberg import displaced_vector, displacement
 
 from oracles import two_design_deviation_dense, two_design_deviation_table
@@ -176,7 +176,7 @@ class TestTwoDesign:
     @pytest.mark.parametrize("d", range(2, 11, 2))
     def test_even_dimension_is_refused(self, d):
         # tau is no power of omega: d G[k, l] = (T T^dag)[k, k - 2l] fails
-        with pytest.raises(BadDimension):
+        with pytest.raises(SicladderError, match=f"^odd dimension >= 3 required, got {d}$"):
             fid.two_design_deviation(fid.SicFiducial(d=d, vector=np.ones(d) / np.sqrt(d)))
 
     def test_table_matches_dense_operator_on_sics(self, f5, f7, f15, climb35):
@@ -315,9 +315,10 @@ class TestSearch:
         assert np.abs(f7.vector.imag).max() < 1e-10
 
     def test_unsupported_dimension(self):
-        with pytest.raises(BadDimension):
+        unsupported = r"^fiducial search supports d in \(5, 7, 9\), got 11$"
+        with pytest.raises(SicladderError, match=unsupported):
             fid.find_fiducial(11)
-        with pytest.raises(BadDimension):
+        with pytest.raises(SicladderError, match=unsupported):
             fid.default_symmetry(11)
 
     def test_exhausted_restarts(self, monkeypatch):
@@ -354,7 +355,7 @@ def seed_default_symmetry(d):
         return canonical_order3(7), 1.0 + 0j
     if d == 9:
         return zauner_matrix_standard(9), 1.0 + 0j
-    raise BadDimension(f"no default symmetry for d={d}")
+    raise SicladderError(f"no default symmetry for d={d}")
 
 
 def seed_search_basis(d, zauner, eigenvalue, real_coeffs):
@@ -363,14 +364,14 @@ def seed_search_basis(d, zauner, eigenvalue, real_coeffs):
         return B
     Br, R = np.linalg.qr(np.real(B))
     if np.abs(np.diag(R)).min() < 1e-8:
-        raise RankDeficient("eigenspace has no real form to search")
+        raise SicladderError("eigenspace has no real form to search")
     return Br
 
 
 def seed_find_fiducial(d, zauner=None, eigenvalue=None, restarts=20, seed=0,
                        real_coeffs=False, target=1e-16):
     if d not in (5, 7, 9):
-        raise BadDimension(f"fiducial search supports d in (5, 7, 9), got {d}")
+        raise SicladderError(f"fiducial search supports d in (5, 7, 9), got {d}")
     if zauner is None or eigenvalue is None:
         zdef, edef = seed_default_symmetry(d)
         zauner = zdef if zauner is None else zauner

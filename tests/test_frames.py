@@ -4,7 +4,7 @@ import pytest
 
 from sicladder import frames as fr
 from sicladder import ladder as lad
-from sicladder.errors import DimensionMismatch, NotOrthonormal
+from sicladder.errors import SicladderError
 
 
 def basis_vec(d, j):
@@ -64,7 +64,7 @@ class TestCovariantGenerator:
         assert fr.check_tight(M).is_tight
 
     def test_wrong_block_length(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(SicladderError, match=r"^blocks must each live in C\^3$"):
             fr.covariant_generator([basis_vec(4, 0)], 3)
 
 
@@ -103,11 +103,12 @@ class TestNaimarkComplement:
 
     def test_rejects_non_orthonormal_blocks(self):
         e0 = basis_vec(3, 0)
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(SicladderError, match="^blocks deviate from orthonormality by "):
             fr.naimark_complement([e0, e0], 3)
 
     def test_refuses_non_finite_block(self):
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(SicladderError,
+                           match="^blocks deviate from orthonormality by nan$"):
             fr.naimark_complement([np.full(5, np.nan + 0j)], 5)
 
 
@@ -140,7 +141,7 @@ class TestGrassmannEquidistance:
 
     def test_rejects_non_orthonormal(self):
         b = np.ones((3, 2), dtype=complex)
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation "):
             fr.grassmann_equidistance([b, np.eye(3)[:, :2]])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sicladder.errors import BadDimension, NotCoprime
+from sicladder.errors import SicladderError
 from sicladder.heisenberg import (crt_split_certificate, crt_split_index,
                                   displaced_vector, displacement, omega,
                                   overlap_table, tau, weyl_commutation_check,
@@ -61,9 +61,9 @@ class TestDisplacement:
                 assert np.abs(D.conj().T - displacement(d, -p[0], -p[1])).max() < 1e-12
 
     def test_even_dimension_rejected(self):
-        with pytest.raises(BadDimension):
+        with pytest.raises(SicladderError, match="^odd dimension >= 3 required, got 4$"):
             displacement(4, 0, 0)
-        with pytest.raises(BadDimension):
+        with pytest.raises(SicladderError, match="^odd dimension >= 3 required, got 1$"):
             displacement(1, 0, 0)
 
     def test_tau_squares_to_omega(self):
@@ -119,9 +119,9 @@ class TestVectorRoutes:
 
 class TestCrt:
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(SicladderError, match=r"^gcd\(3,9\) != 1$"):
             crt_permutation(3, 9)
-        with pytest.raises(NotCoprime):
+        with pytest.raises(SicladderError, match=r"^gcd\(5,15\) != 1$"):
             crt_split_index((1, 1), 5, 15)
 
     def test_permutation_rows(self):

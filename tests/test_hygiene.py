@@ -5,6 +5,8 @@ definition, a name in perfbench/*.py (spans.TRACED names functions as
 strings), or tests/test_acceptance.py. Every field of a dataclass or
 NamedTuple in the package is read by attribute name in those same places,
 and every defaulted parameter takes two values over the calls there.
+Every exception class of the package is named in an except clause of
+package code.
 
 __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
@@ -212,6 +214,31 @@ def test_defaulted_parameters_take_two_values():
     assert not single - exempt, \
         f"defaulted parameters with one value at every call site: {sorted(single - exempt)}"
     assert not exempt - single, f"exempt parameters that now vary: {sorted(exempt - single)}"
+
+
+def _names(node):
+    """Names in an except clause's type: a name, module.name or a tuple."""
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    return {getattr(node, "id", getattr(node, "attr", None))}
+
+
+def test_exception_classes_are_caught():
+    # a subclass that no except clause names tells nothing apart; its raise
+    # sites raise SicladderError with the same message
+    trees = [ast.parse(p.read_text()) for p in PACKAGE]
+    classes = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+               for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    errors, grown = set(), {"Exception"}
+    while grown != errors:   # subclasses of subclasses, to a fixed point
+        errors = grown
+        grown = errors | {name for name, bases in classes.items() if bases & errors}
+    errors.discard("Exception")
+    caught = {n for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for n in _names(node.type)}
+    assert errors, "no exception class found in the package"
+    assert not errors - caught, f"exception classes no except clause names: {sorted(errors - caught)}"
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

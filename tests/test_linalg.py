@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sicladder import ladder as lad
-from sicladder.errors import NotOrthonormal, NotUnitary
+from sicladder.errors import SicladderError
 from sicladder.linalg import eig_unitary, phase_fix_columns, principal_angles
 
 
@@ -38,7 +38,7 @@ class TestEigUnitary:
         assert np.abs(np.abs(dec.eigenvalues) - 1).max() < 1e-10
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(SicladderError, match=r"^\|\|A A\^dag - 1\|\|_max = 3\.000e\+00 > "):
             eig_unitary(np.diag([2.0, 1.0]))
 
     def test_degenerate_group_basis_is_orthonormal(self):
@@ -59,7 +59,7 @@ class TestEigUnitary:
             assert abs(first.imag) < 1e-10 and first.real > 0
 
     def test_refuses_non_finite_matrix(self):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(SicladderError, match=r"^\|\|A A\^dag - 1\|\|_max = nan > "):
             eig_unitary(np.full((3, 3), np.nan + 0j))
 
 
@@ -103,11 +103,11 @@ class TestPrincipalAngles:
         assert np.abs(principal_angles(q1, q2) - principal_angles(q2, q1)).max() < 1e-12
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation "):
             principal_angles(np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
 
     def test_refuses_non_finite_basis(self):
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation nan$"):
             principal_angles(np.full((2, 1), np.nan), np.array([[1.0], [0.0]]))
 
 

@@ -9,7 +9,7 @@ from sicladder import fiducials as fid
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import canonical_order3, order3_elements
-from sicladder.errors import NotASic, SicladderError, WrongCount
+from sicladder.errors import NotASic, SicladderError
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -301,7 +301,7 @@ class TestEquatorGeometry:
 
     def test_wrong_count(self, fam5_solving):
         v = lad.build_proto(fam5_solving, [0.5])
-        with pytest.raises(WrongCount):
+        with pytest.raises(SicladderError, match="^expected 3 solutions, got 2$"):
             opt.equator_geometry_check([v, v], F5, 5)
 
 
