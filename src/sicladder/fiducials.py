@@ -61,14 +61,17 @@ def overlap_phases(f):
 
 
 def _overlap_residuals(v, d):
-    """|<v|D_p|v>|^2 - 1/(d+1) over p, flattened; the p = 0 entry is 0."""
-    m = (np.abs(overlap_table(v)) ** 2).ravel()
+    """|<v|D_p|v>|^2 - 1/(d+1) over p, flattened; the p = 0 entry is 0.
+    Squared and shifted in place, which rounds as the fresh arrays would."""
+    m = np.abs(overlap_table(v)).ravel()
+    np.square(m, out=m)
     m[0] = 1.0 / (d + 1)
-    return m - 1.0 / (d + 1)
+    return np.subtract(m, 1.0 / (d + 1), out=m)
 
 
 def sic_defect(v, d):
-    return float(np.sum(_overlap_residuals(np.asarray(v, dtype=complex), d) ** 2))
+    r = _overlap_residuals(np.asarray(v, dtype=complex), d)
+    return float(np.sum(np.square(r, out=r)))
 
 
 def verify_sic(f, tol=1e-8):

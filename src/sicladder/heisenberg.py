@@ -33,7 +33,10 @@ while stack @ conj(psi) is a zgemv and sums in another order. One
 np.fft.ifft(rows, axis=-1) over a (d, d) array matches d one-row calls bit
 for bit, but its product with the phase table must be taken on a named
 array: in ph * (ifft(rows) * d) numpy reuses the large temporary and
-multiplies into it in place, which changed the last bit at d = 195.
+multiplies into it in place, which changed the last bit at d = 195. Real
+squares and differences taken in place (out=) round as fresh arrays do,
+which the defect uses; conjugating before a gather equals conjugating
+after it.
 The gather tables of displaced_vector are cached on the raw (i, j): tau^d
 = 1, yet t[k + d] and t[k] differ in the last bit, so reducing i or j mod d
 would change the phase row.
@@ -148,9 +151,10 @@ def overlap_table(psi):
     """All overlaps <psi|D_{i,j}|psi> as a d x d array, computed by FFT.
 
     <psi|D_{i,j}|psi> = tau^(ij) sum_s conj(psi_{s+i}) psi_s omega^(js),
-    the diagonal transform of the rows conj(psi[idx]) * psi.
+    the diagonal transform of the rows conj(psi)[idx] * psi: the conjugate
+    is taken before the gather, on d entries rather than d^2, which is exact.
     """
-    return _diagonal_transform(np.conj(psi[_diagonal_tables(len(psi))[0]]) * psi)
+    return _diagonal_transform(np.conj(psi)[_diagonal_tables(len(psi))[0]] * psi)
 
 
 def weyl_commutation_check(d):

@@ -372,10 +372,10 @@ def _coefficient_vector(family, params):
     """The block unitaries of a family member, flattened row-major and
     concatenated: every coefficient at once, from the same ufunc calls as
     one SU(2) or U(1) block at a time (see the module docstring)."""
-    params = np.atleast_1d(np.asarray(params, dtype=float))
+    params = np.asarray(params, dtype=float)
     arg, mult, polar, su2, scale, scaled, n = family.coefficient_plan
-    if len(params) != n:
-        raise SicladderError(f"need {n} parameters, got {len(params)}")
+    if params.shape != (n,):
+        raise SicladderError(f"need {n} parameters, got {params.size}")
     co = np.exp(params[arg] * mult)
     if len(polar):
         h = params[polar] / 2

@@ -4,8 +4,9 @@ climbs and the branch-sweeping climb driver.
 The defect of a unit vector is sum_{p != 0} (|<psi|D_p|psi>|^2 - 1/(N+1))^2
 in its own dimension N. Along a one-parameter family it is a trigonometric
 polynomial of low degree in the parameter, and minimize solves it in closed
-form. Larger families get a seeded multistart Nelder-Mead. For a proto
-vector the overlaps along the two factor subgroups hold identically (the
+form. Larger families get a seeded multistart Nelder-Mead, run by the
+package's own _simplex with scipy 1.17's arithmetic. For a proto vector
+the overlaps along the two factor subgroups hold identically (the
 alignment conditions), so that search objective may drop them and,
 optionally, keep only a fixed sample of the remaining terms (term_budget);
 the full defect is always recomputed for reporting.
@@ -31,7 +32,9 @@ class SearchConfig:
 
     One-parameter families are solved in closed form (minimize), which
     reads target_defect alone: restarts, max_iters, seed and term_budget
-    apply to the Nelder-Mead search of larger families only."""
+    apply to the Nelder-Mead search of larger families only. That search
+    is optimizer._simplex, which repeats scipy 1.17's Nelder-Mead bit for
+    bit: max_iters caps its iterations and 2 * max_iters its evaluations."""
     restarts: int = 20
     max_iters: int = None
     target_defect: float = 1e-16
@@ -160,9 +163,70 @@ def minimize(family, cfg):
     return kept
 
 
-def _scipy_minimize(*args, **kwargs):
-    from scipy.optimize import minimize   # deferred: Nelder-Mead alone needs it
-    return minimize(*args, **kwargs)
+def _simplex(fun, x0, max_iters):
+    """Nelder-Mead from x0 as (x, fun, nit, nfev), equal bit for bit to
+    scipy 1.17's minimize(method="Nelder-Mead") with xatol=1e-13,
+    fatol=1e-26, maxiter=max_iters and maxfev=2*max_iters.
+
+    The same initial simplex, centroid, trial points and shrink; the
+    vertices are ordered by np.argsort itself, whose order of tied values
+    a stable sort does not reproduce (tests/test_optimizer.py). An
+    evaluation past the cap ends the iteration where it stands, as
+    scipy's does: the rest is skipped, nit is not advanced and the
+    vertices are still sorted. fun gets each point without a copy, so it
+    must not write to it. The values are kept as Python floats, sorted
+    ascending, so the f-spread is fsim[-1] - fsim[0], tested before the
+    x-spread.
+    """
+    max_fev = 2 * max_iters
+    N = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + 0.05) * sim[0, k] if sim[0, k] != 0 else 0.00025
+    # a vertex past the evaluation cap keeps the value inf
+    fsim = [fun(x) for x in sim[:max_fev]] + [np.inf] * (N + 1 - max_fev)
+    nfev = min(N + 1, max_fev)
+    for _ in range(2):   # scipy sorts twice before the first iteration
+        order = np.array(fsim).argsort()
+        sim, fsim = sim[order], [fsim[i] for i in order.tolist()]
+    nit = 1
+    while nfev < max_fev and nit < max_iters:
+        if fsim[-1] - fsim[0] <= 1e-26 and np.abs(sim[1:] - sim[0]).max() <= 1e-13:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        complete = True
+        if fsim[0] <= fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev == max_fev:
+            complete = False
+        elif fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        else:
+            inside = not fxr < fsim[-1]
+            xc = 0.5 * xbar + 0.5 * sim[-1] if inside else 1.5 * xbar - 0.5 * sim[-1]
+            fxc = fun(xc)
+            nfev += 1
+            if (fxc < fsim[-1]) if inside else (fxc <= fxr):
+                sim[-1], fsim[-1] = xc, fxc
+            else:   # shrink toward the best vertex, one vertex at a time
+                shrunk = sim[0] + 0.5 * (sim[1:] - sim[0])
+                for j in range(1, N + 1):
+                    sim[j] = shrunk[j - 1]
+                    if nfev == max_fev:
+                        complete = False
+                        break
+                    fsim[j] = fun(sim[j])
+                    nfev += 1
+        nit += complete
+        order = np.array(fsim).argsort()
+        sim, fsim = sim[order], [fsim[i] for i in order.tolist()]
+    return sim[0], np.min(fsim), nit, nfev
 
 
 def _nelder_mead(family, cfg, N):
@@ -186,25 +250,21 @@ def _nelder_mead(family, cfg, N):
     for t in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, t])
         x0 = rng.uniform(0, 2 * np.pi, size=npar)
-        opts = dict(xatol=1e-13, fatol=1e-26, maxiter=max_iters,
-                    maxfev=2 * max_iters)
-        r = _scipy_minimize(objective, x0, method="Nelder-Mead", options=opts)
-        if terms is not None and r.fun <= 1e-20:
+        x, fun, nit, _ = _simplex(objective, x0, max_iters)
+        if terms is not None and fun <= 1e-20:
             # the truncated objective shares its zero set with the full one
             # but leaves the dropped terms loose; polish apparent winners
             def full_objective(x):
                 return sic_defect(ladder.build_proto(family, x), N)
-            r2 = _scipy_minimize(full_objective, r.x, method="Nelder-Mead",
-                                 options=dict(xatol=1e-13, fatol=1e-26,
-                                              maxiter=4000, maxfev=8000))
-            if r2.fun < full_objective(r.x):
-                r = r2
-        params = ladder.canonical_params(family, r.x)
+            x2, fun2, nit2, _ = _simplex(full_objective, x, 4000)
+            if fun2 < full_objective(x):
+                x, nit = x2, nit2
+        params = ladder.canonical_params(family, x)
         psi = ladder.build_proto(family, params)
         full = sic_defect(psi, N)
         if full <= cfg.target_defect:
             raw.append(SearchResult(params=params, vector=psi, defect_full=full,
-                                    iterations=int(r.nit), seed_used=t))
+                                    iterations=nit, seed_used=t))
     return raw
 
 

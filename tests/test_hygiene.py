@@ -6,7 +6,7 @@ strings), or tests/test_acceptance.py. Every field of a dataclass or
 NamedTuple in the package is read by attribute name in those same places,
 and every defaulted parameter takes two values over the calls there.
 Every exception class of the package is named in an except clause of
-package code.
+package code, and no module imports scipy.
 
 __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
@@ -241,13 +241,33 @@ def test_exception_classes_are_caught():
     assert not errors - caught, f"exception classes no except clause names: {sorted(errors - caught)}"
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the Nelder-Mead engine is
+    # optimizer._simplex and the LM solve is minpack.least_squares
+    def roots(node):
+        if isinstance(node, ast.Import):
+            return {a.name.split(".")[0] for a in node.names}
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return {node.module.split(".")[0]}
+        return set()
+    importing = [p.stem for p in PACKAGE for node in ast.walk(ast.parse(p.read_text()))
+                 if "scipy" in roots(node)]
+    assert not importing, f"modules that import scipy: {importing}"
+
+
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize takes most of a second to import, and only the
-    # Nelder-Mead search of optimizer.minimize needs it
+    # importing scipy.optimize takes a third of a second or more, and no
+    # search needs it: a 9 -> 63 climb runs the package's Nelder-Mead
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import sys, sicladder.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, sicladder.cli\n"
+            "from sicladder import optimizer as opt\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "cfg = opt.SearchConfig(restarts=1, max_iters=50, seed=11)\n"
+            "out = opt.climb(opt.default_source(9), cfg=cfg)\n"
+            "print([b.n_params for b in out.branches if b.feasible][0])\n"
+            "print('scipy.optimize' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "5", "False"]

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import rosen
 
 from sicladder import cli
 from sicladder import fiducials as fid
@@ -58,6 +60,96 @@ NM35 = opt.SearchConfig(restarts=12, max_iters=2000, seed=3, term_budget=2)
 @pytest.fixture(scope="module")
 def sols35(fam35):
     return opt.minimize(fam35, NM35)
+
+
+def _same_as_scipy(fun, x0, max_iters):
+    """Run optimizer._simplex and scipy's Nelder-Mead with the options it
+    reproduces from x0, assert that they evaluate the same points and
+    return the same (x, fun, nit, nfev) bits, and return scipy's result
+    and the number of evaluations in each of its iterations."""
+    points = ([], [])
+
+    def recording(k):
+        def f(x):
+            points[k].append(x.tobytes())
+            return fun(x)
+        return f
+    ours = opt._simplex(recording(0), np.array(x0, dtype=float), max_iters)
+    counted, per_iteration = [min(len(x0) + 1, 2 * max_iters)], []
+
+    def callback(intermediate_result):
+        per_iteration.append(len(points[1]) - counted[0])
+        counted[0] = len(points[1])
+    r = scipy_minimize(recording(1), x0, method="Nelder-Mead", callback=callback,
+                       options=dict(xatol=1e-13, fatol=1e-26, maxiter=max_iters,
+                                    maxfev=2 * max_iters))
+    assert points[0] == points[1]
+    x, f, nit, nfev = ours
+    assert (x.tobytes(), np.float64(f).tobytes(), nit, nfev) == \
+        (r.x.tobytes(), np.float64(r.fun).tobytes(), r.nit, r.nfev)
+    return r, per_iteration
+
+
+class TestSimplex:
+    """optimizer._simplex against scipy 1.17's Nelder-Mead, bit for bit."""
+
+    def test_the_four_restarts_of_the_63_branch(self, f9):
+        # the branch criterion 7 solves, from the starts of the rung63
+        # benchmark: restarts 0 and 3 converge, and restart 2 wanders at
+        # defect 0.4608 to the evaluation cap
+        P = lad.generalized_parity(f9)
+        e_b, f_b = lad.paired_bases(f9, canonical_order3(7), P)
+        fam = lad.make_proto_family(f9, e_b, f_b, lad.feasible_targets(f_b, e_b)[0])
+        runs = []
+        for t in range(4):
+            x0 = np.random.default_rng([11, t]).uniform(0, 2 * np.pi, fam.n_params)
+            values = {}
+
+            def objective(x):
+                values[x.tobytes()] = fid.sic_defect(lad.build_proto(fam, x), 63)
+                return values[x.tobytes()]
+            r, _ = _same_as_scipy(objective, x0, 4000)
+            runs.append((r.nit, r.nfev))
+            if t == 2:
+                # distinct points whose defects tie to the last bit; tied
+                # vertices go in np.argsort's order, which a stable sort
+                # does not repeat (it leaves scipy's path in this restart)
+                ties = [f for f in values.values() if f == r.fun]
+                assert len(ties) > 1 and 0.4608 < r.fun < 0.4609
+        assert runs == [(476, 799), (399, 689), (1393, 8000), (777, 1293)]
+
+    def test_the_refined_195_objective(self, f15):
+        P = lad.generalized_parity(f15)
+        e_b, f_b = lad.paired_bases(f15, canonical_order3(13), P,
+                                    lad.refining_involutions(f15))
+        fam = lad.make_proto_family(f15, e_b, f_b, 0)
+        terms = opt._residual_terms(13, 15, 9)
+        x0 = np.random.default_rng([2, 0]).uniform(0, 2 * np.pi, fam.n_params)
+        r, _ = _same_as_scipy(
+            lambda x: opt._partial_defect(lad.build_proto(fam, x), terms, 195), x0, 300)
+        assert r.nit == 300 and r.nfev > 300
+
+    def test_rosen_through_shrinks_and_every_early_cap(self):
+        # from this start the 4-d simplex collapses and shrinks hundreds of
+        # times; the caps 1 .. 79 end runs in the initial simplex, in
+        # mid-iteration (nit not advanced) and in mid-shrink
+        x0 = [-1.0, 1.1, 0.8, -1.5]
+        ends = set()
+        for max_iters in [3000] + list(range(1, 80)):
+            r, per_iteration = _same_as_scipy(rosen, x0, max_iters)
+            if max_iters == 3000:
+                assert sum(n > 2 for n in per_iteration) > 100
+            if r.nfev < 5:
+                ends.add("initial simplex")
+            elif len(per_iteration) == r.nit:
+                ends.add("mid-shrink" if per_iteration[-1] > 2 else "mid-iteration")
+        assert ends == {"initial simplex", "mid-iteration", "mid-shrink"}
+
+    def test_rosen_to_convergence_from_a_zero_coordinate(self):
+        # the zero coordinate takes the absolute initial step 0.00025, and
+        # the run stops on the x- and f-spreads before either cap
+        r, _ = _same_as_scipy(rosen, [0.0, 1.1, 0.8, -1.5], 3000)
+        assert r.status == 0 and r.fun < 1e-20
 
 
 class TestMinimize:
