@@ -25,7 +25,8 @@ from .fiducials import (OverlapTable, SicFiducial, default_symmetry,
                         sector_fiducials, sic_defect, symmetry_group_order,
                         two_design_deviation, verify_sic)
 from .ladder import (AlignmentCertificate, GeneralizedParity, LabeledBasis,
-                     ProtoFamily, build_proto, embedded_etf, feasible_targets,
+                     ProtoFamily, build_proto, certificate_rows, embedded_etf,
+                     equator_geometry_check, feasible_targets,
                      generalized_parity, h_conjugate, lift_fiducial,
                      make_proto_family, paired_bases, paired_bases_refined,
                      refining_involutions, root_of_parity, translated_subspaces,
@@ -33,5 +34,5 @@ from .ladder import (AlignmentCertificate, GeneralizedParity, LabeledBasis,
 from .optimizer import (PHASE_CONSTANT_5, POLY_COEFFS_35, ClimbOutcome,
                         SearchConfig, SearchResult, check_known_phase_5,
                         check_known_polynomial_35, climb, climb_refined,
-                        default_source, equator_geometry_check, minimize,
-                        promote_solution, select_source_by_phase)
+                        default_source, minimize, promote_solution,
+                        select_source_by_phase)

@@ -1,5 +1,7 @@
 """Command-line interface and artifact persistence.
 
+The commands parse, write and print; the rows `verify` prints come from
+ladder.certificate_rows, and no certificate is computed here.
 Artifacts are JSON text whose numeric payloads are decimal strings with 17
 significant digits, so saving, loading, and saving again reproduces the
 file byte for byte on any platform. Exit codes: 0 success; 1 on argument,
@@ -17,13 +19,11 @@ import sys
 
 import numpy as np
 
-from . import frames, ladder, optimizer
-from .errors import AlignmentRequired, NotASic, SearchFailed, SicladderError
-from .fiducials import (SicFiducial, overlap_phases, sic_defect,
-                        two_design_deviation, verify_sic)
+from . import ladder, optimizer
+from .errors import SearchFailed, SicladderError
+from .fiducials import SicFiducial, overlap_phases, sic_defect, verify_sic
 
 SCHEMA_VERSION = 1
-PASS_TOL = 1e-8
 # verify's name column: fixed, so a row's bytes never depend on the other
 # rows; wide enough for "branch10-sic10:alignment"
 NAME_WIDTH = 24
@@ -96,9 +96,9 @@ def _checked_vector(rows, d, what):
     return v
 
 
-def _fiducial_from_body(body, label=""):
+def _fiducial_from_body(body, what, label=""):
     d = int(body["dimension"])
-    f = SicFiducial(d=d, vector=_checked_vector(body["vector"], d, "vector"), label=label)
+    f = SicFiducial(d=d, vector=_checked_vector(body["vector"], d, what), label=label)
     sym = body.get("symmetry")
     if sym is not None:
         f.symmetry = np.array(sym["matrix"], dtype=int)
@@ -108,13 +108,8 @@ def _fiducial_from_body(body, label=""):
     return f
 
 
-def load_artifact(path):
-    """Parsed body plus, for fiducial files, the reconstructed fiducial.
-
-    Fails closed: an unknown schema_version or kind, a non-finite entry in
-    any stored vector, or a fiducial's or climb solution's vector that is
-    not unit-norm or of its dimension field's length, raises SicladderError.
-    """
+def _load_artifact(path):
+    """load_artifact's triple and the embedded source fiducial, or None."""
     with open(path) as fh:
         body = json.load(fh)
     if not isinstance(body, dict):
@@ -126,16 +121,30 @@ def load_artifact(path):
     kind = body.get("kind")
     if kind not in ("fiducial", "climb-report"):
         raise SicladderError(f"unknown artifact kind {kind!r}")
-    f = None
+    stored = source = None
     if kind == "fiducial":
-        f = _fiducial_from_body(body, label=os.path.basename(path))
-    if body.get("source") is not None:
-        _unpairs(body["source"]["vector"], what="source vector")
-    for bi, b in enumerate(body.get("branches", [])):
-        for si, sol in enumerate(b["solutions"]):
-            _checked_vector(sol["vector"], int(body["target_dimension"]),
-                            f"branch {bi} solution {si} vector")
-    return kind, body, f
+        stored = _fiducial_from_body(body, "vector", label=os.path.basename(path))
+    if kind == "climb-report" or body.get("source") is not None:
+        source = _fiducial_from_body(body["source"], "source vector")
+    if kind == "climb-report":
+        N = int(body["target_dimension"])
+        stored = [[SicFiducial(d=N, vector=_checked_vector(
+                       sol["vector"], N, f"branch {bi} solution {si} vector"))
+                   for si, sol in enumerate(b["solutions"])]
+                  for bi, b in enumerate(body["branches"])]
+    return kind, body, stored, source
+
+
+def load_artifact(path):
+    """(kind, body, stored): stored is a fiducial file's fiducial, or a
+    climb report's solutions as fiducials, one list per branch.
+
+    Fails closed: an unknown schema_version or kind, or a stored vector
+    (fiducial, embedded source or climb solution) with a non-finite entry,
+    a norm off 1 by more than 1e-12 or a length other than its dimension
+    field, raises SicladderError naming the vector.
+    """
+    return _load_artifact(path)[:3]
 
 
 def climb_report_payload(outcome, source):
@@ -200,7 +209,7 @@ def cmd_climb(args):
     kind, body, f = load_artifact(args.input)
     if kind != "fiducial":
         raise SicladderError(f"{args.input} is not a fiducial file")
-    if not verify_sic(f, tol=PASS_TOL):
+    if not verify_sic(f, tol=ladder.PASS_TOL):
         raise SicladderError("input does not verify as a SIC fiducial")
     cfg = optimizer.SearchConfig(restarts=20 if args.restarts is None else args.restarts,
                                  seed=args.seed,
@@ -242,104 +251,24 @@ def cmd_climb(args):
     return 0
 
 
-def _ladder_dim_of(N):
-    # N = d(d-2) has the integer solution d = 1 + sqrt(N+1) when it exists
-    r = int(round(np.sqrt(N + 1)))
-    return 1 + r if r * r == N + 1 and r > 1 else None
-
-
-def _verify_one(f, source, levels, explicit, prefix=""):
-    """Certificate rows (name, error, passed) for one stored vector, with
-    source the fiducial it was climbed from or None. explicit: the levels
-    were named by the user, so an inapplicable one is an error rather than
-    skipped."""
-    rows = []
-    if "sic" in levels:
-        rows.append((prefix + "sic", overlap_phases(f).defect))
-    if "design" in levels:
-        rows.append((prefix + "design", two_design_deviation(f)))
-    if "alignment" in levels:
-        if source is None:
-            if explicit:
-                raise SicladderError(
-                    "alignment verification needs a file with an embedded source")
-        else:
-            cert = ladder.verify_alignment(f.vector, overlap_phases(source), tol=PASS_TOL)
-            err = max(cert.max_err_unit_condition, cert.max_err_phase_condition)
-            rows.append((prefix + "alignment", err))
-            if cert.matrix_M is not None:
-                print(f"{prefix}alignment reindexing M = "
-                      f"{[[int(x) for x in row] for row in cert.matrix_M]}")
-    if "etf" in levels:
-        d = _ladder_dim_of(f.d)
-        if d is None:
-            if explicit:
-                raise SicladderError(
-                    f"dimension {f.d} is not of the laddered form d(d-2)")
-        else:
-            try:
-                cols, rank = ladder.embedded_etf(f.vector, d)
-                _, coords = frames.restrict_to_span(cols)
-                cert = frames.check_tight(coords)
-                expect = d * (d - 1) // 2
-                rows.append((prefix + "etf-rank", float(abs(rank - expect))))
-                overlap_err = abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2)
-                rows.append((prefix + "etf-frame",
-                             max(cert.max_deviation, overlap_err)))
-            except AlignmentRequired:
-                rows.append((prefix + "etf-frame", np.inf))
-    return rows
-
-
-def _naimark_row(source):
-    """The source's side of the embedded ETF: the Naimark complement of its
-    lift blocks, restricted to its span, must be a tight frame with common
-    overlap^2 1/(d-1)^2. A source that is not a SIC fails the row."""
-    d = source.d
-    try:
-        comp = frames.naimark_complement(ladder.lift_fiducial(source), d)
-    except NotASic:
-        return "etf-naimark", np.inf
-    _, coords = frames.restrict_to_span(comp)
-    cert = frames.check_tight(coords)
-    return "etf-naimark", max(cert.max_deviation,
-                              abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2))
-
-
 def cmd_verify(args):
-    kind, body, f = load_artifact(args.input)
+    kind, body, stored, source = _load_artifact(args.input)
     explicit = args.level != "all"
     levels = (args.level,) if explicit else ("sic", "design", "alignment", "etf")
-
-    rows, source = [], None
-    if kind == "climb-report" or body.get("source") is not None:
-        source = _fiducial_from_body(body["source"])
-    if kind == "fiducial":
-        rows += _verify_one(f, source, levels, explicit)
-    else:
-        for bi, b in enumerate(body["branches"]):
-            vectors = [_unpairs(sol["vector"]) for sol in b["solutions"]]
-            for si, v in enumerate(vectors):
-                sub = SicFiducial(d=int(body["target_dimension"]), vector=v)
-                rows += _verify_one(sub, source, levels, explicit,
-                                    prefix=f"branch{bi}-sic{si}:")
-            if "alignment" in levels and len(vectors) == 3:
-                # three solutions of one branch: an orbit of the branch's
-                # small-side generator, equidistant on the family's equator
-                held = optimizer.equator_geometry_check(vectors, b["generator"], source.d)
-                rows.append((f"branch{bi}:equator", 0.0 if held else np.inf))
-    if "etf" in levels and source is not None:
-        rows.append(_naimark_row(source))
+    f, branches = stored, ()
+    if kind == "climb-report":
+        f, branches = None, [(b["generator"], sols) for b, sols in zip(body["branches"], stored)]
+    rows = ladder.certificate_rows(f, source, branches, levels, explicit)
 
     if not rows:
         print("nothing to check for this artifact", file=sys.stderr)
         return 1
-    ok = True
-    for name, err in rows:
-        passed = err <= PASS_TOL
-        ok = ok and passed
+    for name, _, _, M in rows:
+        if M is not None:
+            print(f"{name} reindexing M = {[[int(x) for x in row] for row in M]}")
+    for name, err, passed, _ in rows:
         print(f"{name:<{NAME_WIDTH}}  {err:12.3e}  {'pass' if passed else 'FAIL'}")
-    return 0 if ok else 1
+    return 0 if all(passed for _, _, passed, _ in rows) else 1
 
 
 def cmd_report_overlaps(args):

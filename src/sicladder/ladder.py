@@ -1,5 +1,6 @@
 """The dimension ladder d -> d(d-2): symmetric-subspace lift, generalized
-parity, paired labeled eigenbases, proto families, and alignment checking.
+parity, paired labeled eigenbases, proto families, alignment checking, and
+certificate_rows, the print-free rows of `sicladder verify`.
 
 Conventions. The big space C^{d(d-2)} is identified with C^{d-2} (x) C^d by
 the Chinese-remainder permutation V, applied as the index array
@@ -40,8 +41,9 @@ from .clifford import (eigenspace_basis, fix_phase_principal,
 from .errors import (AlignmentRequired, BadPairing, NoMatchingPhase, NotASic,
                      SicladderError)
 from .fiducials import (_table_image, _table_maps, detect_scalar_symmetry,
-                        overlap_phases, verify_sic)
-from .frames import covariant_generator
+                        overlap_phases, two_design_deviation, verify_sic)
+from .frames import (check_tight, covariant_generator, naimark_complement,
+                     restrict_to_span)
 from .heisenberg import (_phase_gather, crt_index, crt_to_tensor, wh_orbit,
                          wh_traces)
 from .linalg import eig_unitary, phase_fix_columns
@@ -477,31 +479,126 @@ def verify_alignment(psi, theta_table, tol=1e-8):
 
 
 def embedded_etf(psi, d):
-    """Orbit of the big-side displacements through psi, with its span rank.
+    """Orbit of the big-side displacements through psi.
 
-    Returns (cols, rank): the d^2 columns (1 (x) D_p) psi, in global
-    indexing, span d(d-1)/2 dimensions for aligned vectors and restrict to
-    an equiangular tight frame there with squared overlap 1/(d-1)^2.
-    Requires the unit condition to hold within 1e-8 (the cheap alignment
-    gate computable from psi alone).
+    The d^2 columns (1 (x) D_p) psi, in global indexing, span d(d-1)/2
+    dimensions for aligned vectors and restrict to an equiangular tight
+    frame there with squared overlap 1/(d-1)^2; frames.restrict_to_span
+    gives the span. Requires the unit condition to hold within 1e-8 (the
+    cheap alignment gate computable from psi alone).
     """
     n1 = d - 2
     A = to_tensor(psi, d)
     if not _unit_condition_error(A, d) <= 1e-8:
         raise AlignmentRequired("unit-overlap condition fails; not a proto vector")
-    cols = covariant_generator(A, d)[crt_index(n1, d)]
-    s = np.linalg.svd(cols, compute_uv=False)
-    return cols, int(np.sum(s > 1e-8 * s[0]))
+    return covariant_generator(A, d)[crt_index(n1, d)]
 
 
 def translated_subspaces(psi, d):
     """Spans of (D_q (x) 1) . orbit-span for all q, as orthonormal bases."""
     n1 = d - 2
-    cols, _ = embedded_etf(psi, d)
-    q, s, _ = np.linalg.svd(cols, full_matrices=False)
-    span = q[:, s > 1e-8 * s[0]]
+    span, _ = restrict_to_span(embedded_etf(psi, d))
     r = span.shape[1]
     # D_q acts on the slow tensor index: orbit the span's (d r) columns in C^{n1}
     orbit = wh_orbit(crt_to_tensor(span, n1, d).reshape(n1, d * r).T)
     g = crt_index(n1, d)
     return [Y.T.reshape(n1 * d, r)[g] for Y in orbit]
+
+
+# ---------------------------------------------------------------------------
+# certificate rows
+
+PASS_TOL = 1e-8  # a row passes when its error is at most this
+
+
+def equator_geometry_check(solutions, generator, d):
+    """The three solutions of a branch sit equidistantly and are permuted
+    by the branch's own order-3 generator F of the small factor.
+
+    True iff all pairwise Fubini-Study distances agree within 1e-8 and
+    U_F (x) 1 cyclically permutes the three rays within 1e-8.
+    """
+    if len(solutions) != 3:
+        raise SicladderError(f"expected 3 solutions, got {len(solutions)}")
+    sols = [np.asarray(s, dtype=complex) for s in solutions]
+    dists = [np.arccos(min(1.0, abs(np.vdot(sols[a], sols[b]))))
+             for a, b in ((0, 1), (0, 2), (1, 2))]
+    if max(dists) - min(dists) > 1e-8:
+        return False
+    U = symplectic_unitary(generator, d - 2)
+    g = crt_index(d - 2, d)
+    # the rays each image matches: one apiece, and not each its own
+    perm = [[j for j, q in enumerate(sols) if abs(np.vdot(q, img)) > 1 - 1e-8]
+            for img in ((U @ to_tensor(s, d)).ravel()[g] for s in sols)]
+    return sorted(perm) == [[0], [1], [2]] and perm != [[0], [1], [2]]
+
+
+def _etf_frame(generator, d):
+    """The span width of a frame, and its deviation, restricted to that
+    span, from a tight frame with common overlap^2 1/(d-1)^2."""
+    span, coords = restrict_to_span(generator)
+    cert = check_tight(coords)
+    return span.shape[1], max(cert.max_deviation,
+                              abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2))
+
+
+def _vector_rows(f, source, levels, explicit, prefix):
+    rows = []
+    if "sic" in levels:
+        rows.append((prefix + "sic", overlap_phases(f).defect, None))
+    if "design" in levels:
+        rows.append((prefix + "design", two_design_deviation(f), None))
+    if "alignment" in levels:
+        if source is None:
+            if explicit:
+                raise SicladderError(
+                    "alignment verification needs a file with an embedded source")
+        else:
+            cert = verify_alignment(f.vector, overlap_phases(source), tol=PASS_TOL)
+            err = max(cert.max_err_unit_condition, cert.max_err_phase_condition)
+            rows.append((prefix + "alignment", err, cert.matrix_M))
+    if "etf" in levels:
+        # N = d(d-2) has the integer solution d = 1 + sqrt(N+1) when it exists
+        r = int(round(np.sqrt(f.d + 1)))
+        if r * r != f.d + 1 or r < 2:
+            if explicit:
+                raise SicladderError(
+                    f"dimension {f.d} is not of the laddered form d(d-2)")
+        else:
+            d = 1 + r
+            try:
+                rank, err = _etf_frame(embedded_etf(f.vector, d), d)
+                rows.append((prefix + "etf-rank", float(abs(rank - d * (d - 1) // 2)), None))
+            except AlignmentRequired:
+                err = np.inf
+            rows.append((prefix + "etf-frame", err, None))
+    return rows
+
+
+def certificate_rows(f, source, branches, levels, explicit):
+    """The rows of `sicladder verify`, as records (name, error, passed, M),
+    with M the alignment reindexing matrix or None. Prints nothing.
+
+    f: a stored fiducial or None; source: the fiducial it (or the climb
+    report) was climbed from, or None; branches: a climb report's
+    (generator, solutions) pairs. A level of levels that does not apply to
+    a vector is skipped, or an error when explicit (named by the user).
+    """
+    rows = [] if f is None else _vector_rows(f, source, levels, explicit, "")
+    for bi, (generator, sols) in enumerate(branches):
+        for si, s in enumerate(sols):
+            rows += _vector_rows(s, source, levels, explicit, f"branch{bi}-sic{si}:")
+        if "alignment" in levels and len(sols) == 3:
+            # three solutions of one branch: an orbit of the branch's
+            # small-side generator, equidistant on the family's equator
+            held = equator_geometry_check([s.vector for s in sols], generator, source.d)
+            rows.append((f"branch{bi}:equator", 0.0 if held else np.inf, None))
+    if "etf" in levels and source is not None:
+        # the source's side of the embedded ETF: the Naimark complement of
+        # its lift blocks; a source that is not a SIC fails the row
+        try:
+            err = _etf_frame(naimark_complement(lift_fiducial(source), source.d), source.d)[1]
+        except NotASic:
+            err = np.inf
+        rows.append(("etf-naimark", err, None))
+    return [(name, err, err <= PASS_TOL, M) for name, err, M in rows]

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ladder
-from .clifford import canonical_order3, order3_elements, symplectic_unitary
+from .clifford import canonical_order3, order3_elements
 from .errors import BadPairing, NotASic, SicladderError
 from .fiducials import (SicFiducial, detect_order3_symmetry, find_fiducial,
                         overlap_phases, sector_fiducials, sic_defect, verify_sic)
-from .heisenberg import crt_index, displaced_vector
+from .heisenberg import displaced_vector
 
 
 @dataclass
@@ -301,34 +301,6 @@ def check_known_polynomial_35(sigma, tol=1e-6):
     t = np.exp(6j * sigma)
     value = sum(c * t ** (8 - k) for k, c in enumerate(POLY_COEFFS_35))
     return bool(abs(value) <= tol * float(np.linalg.norm(POLY_COEFFS_35)))
-
-
-def equator_geometry_check(solutions, generator, d):
-    """The three solutions of a branch sit equidistantly and are permuted
-    by the branch's own order-3 generator F of the small factor.
-
-    True iff all pairwise Fubini-Study distances agree within 1e-8 and
-    U_F (x) 1 cyclically permutes the three rays within 1e-8.
-    """
-    if len(solutions) != 3:
-        raise SicladderError(f"expected 3 solutions, got {len(solutions)}")
-    sols = [np.asarray(s, dtype=complex) for s in solutions]
-    dists = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            dists.append(np.arccos(min(1.0, abs(np.vdot(sols[a], sols[b])))))
-    if max(dists) - min(dists) > 1e-8:
-        return False
-    U = symplectic_unitary(generator, d - 2)
-    g = crt_index(d - 2, d)
-    perm = []
-    for s in sols:
-        img = (U @ ladder.to_tensor(s, d)).ravel()[g]
-        match = [j for j, q in enumerate(sols) if abs(np.vdot(q, img)) > 1 - 1e-8]
-        if len(match) != 1:
-            return False
-        perm.append(match[0])
-    return sorted(perm) == [0, 1, 2] and perm != [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

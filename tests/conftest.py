@@ -41,6 +41,22 @@ def fam5(f5):
 
 
 @pytest.fixture(scope="session")
+def fam5_solving(f5):
+    # the climbable branch: squared generator, its single feasible target
+    P = lad.generalized_parity(f5)
+    G = canonical_order3(3)
+    e_b, f_b = lad.paired_bases(f5, (G @ G) % 3, P)
+    t = lad.feasible_targets(f_b, e_b)[0]
+    return lad.make_proto_family(f5, e_b, f_b, t)
+
+
+@pytest.fixture(scope="session")
+def sols5(fam5_solving):
+    return opt.minimize(fam5_solving,
+                        opt.SearchConfig(restarts=20, max_iters=2000, seed=0))
+
+
+@pytest.fixture(scope="session")
 def fam35(f7):
     # the plain 7 -> 35 family: three singleton blocks, two phases, so
     # minimize searches it with Nelder-Mead

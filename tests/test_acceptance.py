@@ -174,9 +174,8 @@ def test_criterion_08_embedded_etf_geometry(f5):
     e_b, f_b = lad.paired_bases(f5, (G @ G) % 3, P)
     fam = lad.make_proto_family(f5, e_b, f_b, lad.feasible_targets(f_b, e_b)[0])
     psi = lad.build_proto(fam, np.random.default_rng(42).uniform(0, 2 * np.pi, 1))
-    cols, rank = lad.embedded_etf(psi, 5)
-    assert rank == 10 == 5 * 4 // 2
-    _, coords = fr.restrict_to_span(cols)
+    span, coords = fr.restrict_to_span(lad.embedded_etf(psi, 5))
+    assert span.shape[1] == 10 == 5 * 4 // 2
     cert = fr.check_tight(coords)
     assert cert.is_tight and cert.is_equiangular
     assert abs(cert.common_overlap_sq - 1.0 / 16) <= 1e-8

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sicladder
 from sicladder import cli
 from sicladder import fiducials as fid
+from sicladder import ladder
 from sicladder.fiducials import SicFiducial
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -209,6 +210,53 @@ class TestFailClosed:
         p = tmp_path / "list.json"
         p.write_text("[1, 2]")
         assert cli.main(["report-overlaps", "--input", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["climb", "report-overlaps", "verify"])
+    def test_embedded_source_not_unit_norm(self, art, tmp_path, capsys, command):
+        # every command refuses the file at load, not only verify
+        def edit(body):
+            body["source"]["vector"] = [[repr(2 * float(a)), repr(2 * float(b))]
+                                        for a, b in body["source"]["vector"]]
+        p = self._edited(art / "climb15-sic0.json", tmp_path / "bad.json", edit)
+        extra = ["--out", str(tmp_path / "c.json")] if command == "climb" else []
+        assert cli.main([command, "--input", p, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: stored source vector is not normalized to 1e-12\n"
+        assert captured.out == ""
+        assert not (tmp_path / "c.json").exists()
+
+
+class TestCertificateRows:
+    LEVELS = ("sic", "design", "alignment", "etf")
+
+    @staticmethod
+    def _values(rows):
+        return [(name, err, passed, None if M is None else M.tolist())
+                for name, err, passed, M in rows]
+
+    def test_report_rows_are_the_solution_files_rows(self, art, capsys):
+        # one row function for both artifact kinds: the report's rows are
+        # each promoted file's rows under its branch prefix, the branch's
+        # equator row, and the source's Naimark row once
+        capsys.readouterr()
+        _, body, branches, source = cli._load_artifact(str(art / "climb15.json"))
+        report = ladder.certificate_rows(
+            None, source, [(b["generator"], sols) for b, sols in zip(body["branches"], branches)],
+            self.LEVELS, False)
+        expected, naimark, n = [], set(), 0
+        for bi, sols in enumerate(branches):
+            for si in range(len(sols)):
+                _, _, f, src = cli._load_artifact(str(art / f"climb15-sic{n}.json"))
+                rows = self._values(ladder.certificate_rows(f, src, (), self.LEVELS, False))
+                assert rows[-1][0] == "etf-naimark"
+                naimark.add(rows[-1])
+                expected += [(f"branch{bi}-sic{si}:{name}", *rest) for name, *rest in rows[:-1]]
+                n += 1
+            if len(sols) == 3:
+                expected.append((f"branch{bi}:equator", 0.0, True, None))
+        assert n == 3 and len(naimark) == 1
+        assert self._values(report) == expected + [naimark.pop()]
+        assert capsys.readouterr().out == ""
 
 
 class TestFiducialFind:

@@ -6,7 +6,8 @@ strings), or tests/test_acceptance.py. Every field of a dataclass or
 NamedTuple in the package is read by attribute name in those same places,
 and every defaulted parameter takes two values over the calls there.
 Every exception class of the package is named in an except clause of
-package code, and no module imports scipy.
+package code, no module imports scipy, and cli neither imports nor reads
+frames or a certificate kernel.
 
 __init__.py is exempt from the import check (its imports are the public
 re-exports), and so is `from __future__`. An imported name counts as used
@@ -239,6 +240,26 @@ def test_exception_classes_are_caught():
               for n in _names(node.type)}
     assert errors, "no exception class found in the package"
     assert not errors - caught, f"exception classes no except clause names: {sorted(errors - caught)}"
+
+
+# frames and the certificate kernels, which ladder.certificate_rows calls
+CERTIFICATE_NAMES = {"frames", "two_design_deviation", "verify_alignment",
+                     "embedded_etf", "lift_fiducial", "naimark_complement",
+                     "check_tight"}
+
+
+def test_the_cli_computes_no_certificate():
+    # verify's rows come from ladder.certificate_rows; cli parses, writes
+    # and prints, so a certificate drifting back into it fails here
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            imported |= {part for name in dotted for part in name.split(".")}
+    assert not imported & CERTIFICATE_NAMES, sorted(imported & CERTIFICATE_NAMES)
+    read = _read_names(tree, attributes=True) & CERTIFICATE_NAMES
+    assert not read, sorted(read)
 
 
 def test_no_module_imports_scipy():

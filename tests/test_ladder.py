@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from sicladder import fiducials as fid
+from sicladder import frames as fr
 from sicladder import ladder as lad
-from sicladder.clifford import canonical_order3, symplectic_unitary
+from sicladder.clifford import (canonical_order3, order3_elements,
+                                symplectic_unitary)
 from sicladder.errors import BadPairing, NotASic, SicladderError
 from sicladder.heisenberg import crt_index, displacement
 
@@ -330,10 +332,8 @@ class TestAlignment:
 
 class TestEmbeddedEtf:
     def test_rank_and_overlap_d5(self, f15):
-        from sicladder import frames as fr
-        cols, rank = lad.embedded_etf(f15.vector, 5)
-        assert rank == 10
-        _, coords = fr.restrict_to_span(cols)
+        span, coords = fr.restrict_to_span(lad.embedded_etf(f15.vector, 5))
+        assert span.shape[1] == 10
         cert = fr.check_tight(coords[:, :])
         assert cert.is_tight and cert.is_equiangular
         assert abs(cert.common_overlap_sq - 1.0 / 16) < 1e-8
@@ -343,8 +343,8 @@ class TestEmbeddedEtf:
         e_b, f_b = lad.paired_bases(f7, canonical_order3(5), P)
         fam = lad.make_proto_family(f7, e_b, f_b, 0)
         psi = lad.build_proto(fam, np.random.default_rng(2).uniform(0, 2 * np.pi, fam.n_params))
-        _, rank = lad.embedded_etf(psi, 7)
-        assert rank == 21
+        span, _ = fr.restrict_to_span(lad.embedded_etf(psi, 7))
+        assert span.shape[1] == 21
 
     def test_refuses_unaligned_vector(self):
         rng = np.random.default_rng(4)
@@ -355,6 +355,37 @@ class TestEmbeddedEtf:
     def test_refuses_non_finite_vector(self):
         with pytest.raises(lad.AlignmentRequired):
             lad.embedded_etf(np.full(15, np.nan + 0j), 5)
+
+
+# the generator of fam5_solving's branch, and its square
+F5 = (canonical_order3(3) @ canonical_order3(3)) % 3
+F5_SQUARED = (F5 @ F5) % 3
+
+
+class TestEquatorGeometry:
+    def test_the_three_climb_solutions(self, sols5):
+        vecs = [r.vector for r in sols5]
+        assert lad.equator_geometry_check(vecs, F5, 5)
+        assert lad.equator_geometry_check(vecs, F5_SQUARED, 5)
+
+    def test_another_order3_generator_fails(self, sols5):
+        # the rays are cycled by their branch's F and F^2 alone
+        vecs = [r.vector for r in sols5]
+        assert not lad.equator_geometry_check(vecs, [[0, 1], [2, 2]], 5)
+        held = [F.tolist() for F in order3_elements(3)
+                if lad.equator_geometry_check(vecs, F, 5)]
+        assert sorted(held) == sorted([F5.tolist(), F5_SQUARED.tolist()])
+
+    def test_random_family_triple_fails(self, fam5_solving):
+        rng = np.random.default_rng(12)
+        vecs = [lad.build_proto(fam5_solving, rng.uniform(0, 2 * np.pi, 1))
+                for _ in range(3)]
+        assert not lad.equator_geometry_check(vecs, F5, 5)
+
+    def test_wrong_count(self, fam5_solving):
+        v = lad.build_proto(fam5_solving, [0.5])
+        with pytest.raises(SicladderError, match="^expected 3 solutions, got 2$"):
+            lad.equator_geometry_check([v, v], F5, 5)
 
 
 @pytest.fixture(scope="module")

@@ -16,22 +16,6 @@ from sicladder.errors import NotASic, SicladderError
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
-@pytest.fixture(scope="module")
-def fam5_solving(f5):
-    # the climbable branch: squared generator, its single feasible target
-    P = lad.generalized_parity(f5)
-    G = canonical_order3(3)
-    e_b, f_b = lad.paired_bases(f5, (G @ G) % 3, P)
-    t = lad.feasible_targets(f_b, e_b)[0]
-    return lad.make_proto_family(f5, e_b, f_b, t)
-
-
-@pytest.fixture(scope="module")
-def sols5(fam5_solving):
-    return opt.minimize(fam5_solving,
-                        opt.SearchConfig(restarts=20, max_iters=2000, seed=0))
-
-
 class TestResidualTerms:
     def test_exclusions(self):
         for i, j in opt._residual_terms(3, 5, 9):
@@ -364,37 +348,6 @@ class TestClimb35:
         br = climb35.branches[0]
         assert len(br.results) == 3
         assert all(r.alignment.passes for r in br.results)
-
-
-# the generator of fam5_solving's branch, and its square
-F5 = (canonical_order3(3) @ canonical_order3(3)) % 3
-F5_SQUARED = (F5 @ F5) % 3
-
-
-class TestEquatorGeometry:
-    def test_the_three_climb_solutions(self, sols5):
-        vecs = [r.vector for r in sols5]
-        assert opt.equator_geometry_check(vecs, F5, 5)
-        assert opt.equator_geometry_check(vecs, F5_SQUARED, 5)
-
-    def test_another_order3_generator_fails(self, sols5):
-        # the rays are cycled by their branch's F and F^2 alone
-        vecs = [r.vector for r in sols5]
-        assert not opt.equator_geometry_check(vecs, [[0, 1], [2, 2]], 5)
-        held = [F.tolist() for F in order3_elements(3)
-                if opt.equator_geometry_check(vecs, F, 5)]
-        assert sorted(held) == sorted([F5.tolist(), F5_SQUARED.tolist()])
-
-    def test_random_family_triple_fails(self, fam5_solving):
-        rng = np.random.default_rng(12)
-        vecs = [lad.build_proto(fam5_solving, rng.uniform(0, 2 * np.pi, 1))
-                for _ in range(3)]
-        assert not opt.equator_geometry_check(vecs, F5, 5)
-
-    def test_wrong_count(self, fam5_solving):
-        v = lad.build_proto(fam5_solving, [0.5])
-        with pytest.raises(SicladderError, match="^expected 3 solutions, got 2$"):
-            opt.equator_geometry_check([v, v], F5, 5)
 
 
 class TestClimbDriver:
