@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .errors import (AlignmentRequired, BadPairing, NoMatchingPhase, NotASic,
                      SearchFailed, SicladderError)
-from .linalg import eig_unitary, phase_fix_columns, principal_angles
+from .linalg import eig_unitary, phase_fix_columns
 from .heisenberg import (crt_index, crt_split_certificate, crt_split_index,
                          displaced_vector, displacement, omega, overlap_table,
                          tau, weyl_commutation_check, wh_orbit)
@@ -17,8 +17,7 @@ from .clifford import (canonical_order3, eigenspace_basis, fix_phase_principal,
                        parity_matrix, parity_operator, symplectic_unitary,
                        zauner_matrix_standard)
 from .frames import (EtfCertificate, check_tight, covariant_generator,
-                     grassmann_equidistance, naimark_complement,
-                     restrict_to_span)
+                     grassmann_equidistance, restrict_to_span)
 from .fiducials import (OverlapTable, SicFiducial, default_symmetry,
                         detect_order3_symmetry, detect_scalar_symmetry,
                         find_fiducial, gauge_normalize, overlap_phases,

@@ -170,8 +170,7 @@ def climb_report_payload(outcome, source):
             "target_exponent": None if b.target_exponent is None else int(b.target_exponent),
             "feasible": bool(b.feasible),
             "n_params": None if b.n_params is None else int(b.n_params),
-            "outcome": "solutions" if sols else
-                ("empty branch" if b.feasible else "not searched"),
+            "outcome": b.outcome,
             "error": b.error,
             "solutions": sols,
         })
@@ -228,11 +227,8 @@ def cmd_climb(args):
     n = 0
     for b in out.branches:
         tag = f"generator {b.generator.ravel().tolist()} target {b.target_exponent}"
-        if not b.feasible:
-            print(f"{tag}: {b.error or 'not searched'}")
-            continue
         if not b.results:
-            print(f"{tag}: empty branch" + (f" ({b.error})" if b.error else ""))
+            print(f"{tag}: {b.outcome}" + (f" ({b.error})" if b.error else ""))
             continue
         print(f"{tag}: {len(b.results)} solution(s)")
         for res in b.results:

@@ -75,17 +75,16 @@ def sic_defect(v, d):
 
 
 def verify_sic(f, tol=1e-8):
-    """Unit norm plus equiangularity, read off the overlap table.
+    """Unit norm within 1e-10 and an overlap-table defect (overlap_phases,
+    the `sic` row of `sicladder verify`) of at most tol; NaN fails.
 
     The orbit's tightness is not tested: sum_p D_p|v><v|D_p^dag = d ||v||^2 1
     holds for every vector v (the sum over clock powers leaves the diagonal,
     the sum over shifts spreads it evenly), so given unit norm it is
     implied and a test of it would reject nothing.
     """
-    v, d = _vector_of(f)
-    if abs(np.linalg.norm(v) - 1) > 1e-10:
-        return False
-    return bool(np.abs(_overlap_residuals(v, d)[1:]).max() <= tol)
+    v, _ = _vector_of(f)
+    return bool(abs(np.linalg.norm(v) - 1) <= 1e-10 and overlap_phases(f).defect <= tol)
 
 
 def two_design_deviation(f):

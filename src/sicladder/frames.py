@@ -1,10 +1,12 @@
 """Finite tight frames: tightness/equiangularity certificates, group-covariant
-generator matrices, Naimark complements, and Grassmannian equidistance.
+generator matrices, span restriction, and Grassmannian equidistance.
 
 A frame is stored as its generator matrix (vectors as columns). For N
 unit-norm columns in ambient dimension r, tightness means M M^dag = (N/r) 1,
 and an equiangular tight frame has all off-diagonal Gram moduli squared equal
-to (N - r)/(r (N - 1)).
+to (N - r)/(r (N - 1)). The Naimark complement of a frame of orthonormal
+blocks is the covariant generator of the -1 eigenspace of their reflection
+(ladder._lift_reflection for the lift blocks of a SIC fiducial).
 """
 from dataclasses import dataclass
 
@@ -12,7 +14,6 @@ import numpy as np
 
 from .errors import SicladderError
 from .heisenberg import wh_orbit
-from .linalg import eig_unitary, principal_angles
 
 
 @dataclass
@@ -63,57 +64,25 @@ def covariant_generator(x_blocks, d):
     return wh_orbit(np.array(blocks)).reshape(d * d, -1).T
 
 
-def _check_blocks_orthonormal(blocks):
-    B = np.column_stack(blocks)
-    dev = np.abs(B.conj().T @ B - np.eye(B.shape[1])).max()
-    if not dev <= 1e-10:
-        raise SicladderError(f"blocks deviate from orthonormality by {dev:.3e}")
-    return B
-
-
-def naimark_complement(x_blocks, d):
-    """Generator of the frame that an orthonormal completion of the given
-    blocks spans.
-
-    The blocks must be orthonormal within 1e-10 (SicladderError otherwise).
-    The completing vectors are the canonical eigenbasis of the rank-deficient
-    direction of the projector sum_r |x_r><x_r| (its eigenvalue -1 sector
-    after reflection), which keeps the output reproducible.
-
-    Stacked under the blocks' own covariant generator and scaled by
-    1/sqrt(d), the result forms a d^2 x d^2 unitary for any orthonormal
-    blocks: blocks and completion together are an orthonormal basis of C^d,
-    and covariant_generator is tight exactly when its blocks are orthonormal
-    (tests/test_frames.py::TestTightnessBlockEquivalence). A check of that
-    stack would read roundoff, so none is made.
-    """
-    blocks = [np.asarray(x, dtype=complex) for x in x_blocks]
-    if any(len(x) != d for x in blocks):
-        raise SicladderError(f"blocks must each live in C^{d}")
-    B = _check_blocks_orthonormal(blocks)
-    k = B.shape[1]
-    refl = 2 * (B @ B.conj().T) - np.eye(d)  # unitary reflection
-    dec = eig_unitary(refl, tol=1e-8)
-    comp = dec.eigenvectors[:, np.abs(dec.eigenvalues + 1) <= 1e-8]
-    comp_blocks = [comp[:, c] for c in range(comp.shape[1])]
-    if len(comp_blocks) != d - k:
-        raise SicladderError(f"expected {d - k} completing vectors, got {len(comp_blocks)}")
-    return covariant_generator(comp_blocks, d)
-
-
 def grassmann_equidistance(subspace_bases):
     """Whether all pairwise chordal distances of subspaces agree within 1e-8.
 
-    Distance from principal angles: sqrt(sum sin^2 theta_i). Returns
-    (equidistant, common distance); the common value is the pairwise mean.
+    The bases must have orthonormal columns within 1e-8 and one rank r
+    (SicladderError otherwise). The chordal distance sqrt(sum sin^2 theta_i)
+    over the principal angles is sqrt(r - ||U1^dag U2||_F^2), since the
+    cos theta_i are the singular values of U1^dag U2. Returns (equidistant,
+    common distance); the common value is the pairwise mean.
     """
     bases = [np.asarray(b) for b in subspace_bases]
-    dists = []
-    for a in range(len(bases)):
-        for b in range(a + 1, len(bases)):
-            ang = principal_angles(bases[a], bases[b])
-            dists.append(np.sqrt(np.sum(np.sin(ang) ** 2)))
-    dists = np.array(dists)
+    for U in bases:
+        err = np.abs(U.conj().T @ U - np.eye(U.shape[1])).max()
+        if not err <= 1e-8:
+            raise SicladderError(f"columns not orthonormal, deviation {err:.3e}")
+    if len({U.shape[1] for U in bases}) > 1:
+        raise SicladderError("subspaces must have equal dimension")
+    dists = np.array([
+        np.sqrt(max(0.0, U1.shape[1] - np.linalg.norm(U1.conj().T @ U2) ** 2))
+        for a, U1 in enumerate(bases) for U2 in bases[a + 1:]])
     if len(dists) == 0:
         return True, 0.0
     common = float(np.mean(dists))

@@ -42,8 +42,7 @@ from .errors import (AlignmentRequired, BadPairing, NoMatchingPhase, NotASic,
                      SicladderError)
 from .fiducials import (_table_image, _table_maps, detect_scalar_symmetry,
                         overlap_phases, two_design_deviation, verify_sic)
-from .frames import (check_tight, covariant_generator, naimark_complement,
-                     restrict_to_span)
+from .frames import check_tight, covariant_generator, restrict_to_span
 from .heisenberg import (_phase_gather, crt_index, crt_to_tensor, wh_orbit,
                          wh_traces)
 from .linalg import eig_unitary, phase_fix_columns
@@ -87,6 +86,13 @@ def lift_fiducial(f):
     return L
 
 
+def _lift_reflection(f):
+    """2 B B^dag - 1 for B the lift blocks as columns: the reflection that
+    is +1 on their span and -1 on its complement."""
+    B = lift_fiducial(f).T
+    return 2 * (B @ B.conj().T) - np.eye(f.d)
+
+
 @dataclass
 class GeneralizedParity:
     matrix: np.ndarray
@@ -96,9 +102,8 @@ class GeneralizedParity:
 def generalized_parity(f):
     """The involution (1/d) sum_p e^{2 i theta_{Hp}} D_{-p}, certified twice.
 
-    The phase-sum route and the lift route (twice the even-subspace
-    projector minus one) must agree to 1e-9; their maximum deviation is
-    recorded on the result.
+    The phase-sum route and the lift route (_lift_reflection) must agree
+    to 1e-9; their maximum deviation is recorded on the result.
     """
     d = f.d
     table = overlap_phases(f)
@@ -110,9 +115,7 @@ def generalized_parity(f):
             dest, ph = _phase_gather(d, -i % d, -j % d)
             P[dest, s] += (table.phases[i, (h * j) % d] ** 2) * ph
     P /= d
-    B = lift_fiducial(f).T
-    P2 = 2 * (B @ B.conj().T) - np.eye(d)
-    dev = float(np.abs(P - P2).max())
+    dev = float(np.abs(P - _lift_reflection(f)).max())
     if not dev <= 1e-9:
         raise SicladderError(f"generalized-parity routes disagree by {dev:.3e}")
     return GeneralizedParity(matrix=P, dual_deviation=dev)
@@ -594,10 +597,12 @@ def certificate_rows(f, source, branches, levels, explicit):
             held = equator_geometry_check([s.vector for s in sols], generator, source.d)
             rows.append((f"branch{bi}:equator", 0.0 if held else np.inf, None))
     if "etf" in levels and source is not None:
-        # the source's side of the embedded ETF: the Naimark complement of
-        # its lift blocks; a source that is not a SIC fails the row
+        # the source's side of the embedded ETF: the Naimark complement of its
+        # lift blocks, the orbit of the -1 eigenspace of their reflection; a
+        # source that is not a SIC fails the row
         try:
-            err = _etf_frame(naimark_complement(lift_fiducial(source), source.d), source.d)[1]
+            comp = eigenspace_basis(_lift_reflection(source), -1.0)
+            err = _etf_frame(covariant_generator(comp.T, source.d), source.d)[1]
         except NotASic:
             err = np.inf
         rows.append(("etf-naimark", err, None))

@@ -3,7 +3,7 @@
 All functions are pure and operate on plain numpy arrays. Vectors are 1-d
 complex arrays, matrices 2-d with column eigenvectors. The tolerance of
 eig_unitary is a parameter with default 1e-10 (a well-conditioned
-desk-scale check); phase_fix_columns and principal_angles use a fixed 1e-8.
+desk-scale check); phase_fix_columns uses a fixed 1e-8.
 """
 from __future__ import annotations
 
@@ -102,21 +102,3 @@ def _canonical_eigenbasis(q: np.ndarray) -> np.ndarray:
     if len(basis) != m:
         raise SicladderError("could not span eigenspace from standard basis projections")
     return np.column_stack(basis)
-
-
-def principal_angles(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of two orthonormal matrices.
-
-    Returns the angles in ascending order; their cosines are the singular
-    values of U1^dag U2 sorted descending, clipped to [0, 1].
-    """
-    for U in (U1, U2):
-        U = np.asarray(U)
-        g = U.conj().T @ U
-        err = np.abs(g - np.eye(U.shape[1])).max()
-        if not err <= 1e-8:
-            raise SicladderError(f"columns not orthonormal, deviation {err:.3e}")
-    if U1.shape[1] != U2.shape[1]:
-        raise SicladderError("subspaces must have equal dimension")
-    sv = np.linalg.svd(np.asarray(U1).conj().T @ np.asarray(U2), compute_uv=False)
-    return np.arccos(np.clip(np.sort(sv)[::-1], 0.0, 1.0))

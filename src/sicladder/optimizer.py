@@ -13,7 +13,7 @@ the full defect is always recomputed for reporting.
 """
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -316,6 +316,16 @@ class BranchOutcome:
     results: list = field(default_factory=list)    # SearchResult, alignment set
     error: str = ""
 
+    @property
+    def outcome(self):
+        """solutions; or, with none, empty branch (one parameter, solved exactly),
+        budget exhausted (searched) or not searched (no family built)."""
+        if self.results:
+            return "solutions"
+        if self.n_params is None:
+            return "not searched"
+        return "empty branch" if self.n_params == 1 else "budget exhausted"
+
 
 @dataclass
 class ClimbOutcome:
@@ -347,7 +357,8 @@ def climb(source, sector="auto", all_generators=False, conjugate=False, cfg=None
     integer (taken mod the label order) force one exponent; "all" forces
     every exponent and also disables the early stop. The names "w"/"w2"
     are third roots and raise SicladderError on order-6 labels. A source
-    without a symmetry gets its detected order-3 one.
+    without a symmetry is climbed, and returned as the outcome's source, as
+    a copy carrying its detected order-3 one; the caller's is not changed.
     """
     refine = not (all_generators or conjugate)
     involutions = ladder.refining_involutions(source) if refine else None
@@ -381,7 +392,7 @@ def _climb(source, sector, all_generators, conjugate, cfg, involutions):
         det = detect_order3_symmetry(source)
         if det is None:
             raise SicladderError("no order-3 symmetry detected on the source")
-        source.symmetry, source.symmetry_eigenvalue = det
+        source = replace(source, symmetry=det[0], symmetry_eigenvalue=det[1])
     theta = overlap_phases(source)
     P = ladder.generalized_parity(source)
     if all_generators:

@@ -319,6 +319,47 @@ class TestClimb:
         assert all(b["outcome"] == "not searched" for b in body["branches"])
         assert all("infeasible" in b["error"] for b in body["branches"])
 
+    def test_unbuildable_families_are_not_searched(self, art, tmp_path, capsys):
+        # the 5 -> 15 pairings have two blocks; the conjugate family needs three
+        out = tmp_path / "conj.json"
+        rc = cli.main(["climb", "--input", str(art / "f5.json"), "--conjugate-pairing",
+                       "--out", str(out)])
+        assert rc == 2
+        branches = json.loads(out.read_text())["branches"]
+        assert [b["feasible"] for b in branches] == [True, True]
+        assert all(b["outcome"] == "not searched" for b in branches)
+        lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("generator")]
+        assert len(lines) == 2
+        assert all(x.endswith(": not searched (conjugate pairing needs three singleton"
+                              " blocks, got [1, 1])") for x in lines)
+
+    def test_exhausted_budget_is_not_an_empty_branch(self, tmp_path, capsys):
+        # two 8-parameter Nelder-Mead branches cut at 200 iterations find
+        # nothing, while the committed sic195.json lies on branch 1
+        out = tmp_path / "c195.json"
+        rc = cli.main(["climb", "--input", str(INPUTS / "f15.json"), "--restarts", "1",
+                       "--max-iters", "200", "--seed", "2", "--out", str(out)])
+        assert rc == 2
+        branches = json.loads(out.read_text())["branches"]
+        assert [(b["n_params"], b["outcome"]) for b in branches] == [(8, "budget exhausted")] * 2
+        lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("generator")]
+        assert len(lines) == 2 and all(x.endswith(": budget exhausted") for x in lines)
+
+    def test_input_failing_the_sic_row_is_refused_at_the_gate(self, art, tmp_path, capsys):
+        # its squared-overlap residuals pass 1e-8 (largest 7.3e-9), its sic
+        # row (2.2e-8) does not: one verdict for both
+        _, _, f5 = cli.load_artifact(str(art / "f5.json"))
+        rng = np.random.default_rng(0)
+        v = f5.vector + 5e-9 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        p = tmp_path / "near.json"
+        cli.save_json(str(p), cli.fiducial_payload(
+            SicFiducial(d=5, vector=v / np.linalg.norm(v)), provenance="test"))
+        assert cli.main(["verify", "--input", str(p), "--level", "sic"]) == 1
+        assert _rows(capsys.readouterr().out) == {"sic": "FAIL"}
+        rc = cli.main(["climb", "--input", str(p), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: input does not verify as a SIC fiducial\n"
+
     def test_third_root_sector_on_order6_labels_exits_one(self, tmp_path, capsys):
         f15 = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "f15.json"
         rc = cli.main(["climb", "--input", str(f15), "--sector", "w",

@@ -18,6 +18,7 @@ from scipy.optimize import least_squares
 
 from sicladder import cli
 from sicladder import fiducials as fid
+from sicladder import ladder
 from sicladder.clifford import (canonical_order3, symplectic_unitary,
                                 zauner_matrix_standard)
 from sicladder.errors import SearchFailed, SicladderError
@@ -33,6 +34,13 @@ INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 @pytest.fixture(scope="module")
 def sic195():
     return cli.load_artifact(str(INPUTS / "sic195.json"))[2]
+
+
+def perturbed(v, scale, seed):
+    """v plus scale times a seeded complex normal vector, renormalized."""
+    rng = np.random.default_rng(seed)
+    w = v + scale * (rng.normal(size=len(v)) + 1j * rng.normal(size=len(v)))
+    return w / np.linalg.norm(w)
 
 
 def brute_defect(v, d):
@@ -132,6 +140,26 @@ class TestVerifySic:
         v = rng.normal(size=195) + 1j * rng.normal(size=195)
         assert not fid.verify_sic(fid.SicFiducial(d=195, vector=v / np.linalg.norm(v)))
         assert not fid.verify_sic(fid.SicFiducial(d=195, vector=2.0 * sic195.vector))
+
+    def test_one_verdict_with_the_sic_row(self, f5):
+        # the squared-overlap residual (largest 7.3e-9) passes this vector
+        # at PASS_TOL; verify's sic row (2.2e-8) and verify_sic refuse it
+        f = fid.SicFiducial(d=5, vector=perturbed(f5.vector, 5e-9, seed=0))
+        assert np.abs(fid._overlap_residuals(f.vector, 5)[1:]).max() <= ladder.PASS_TOL
+        assert fid.overlap_phases(f).defect > ladder.PASS_TOL
+        assert not fid.verify_sic(f, tol=ladder.PASS_TOL)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from((5, 7)), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from((0.0, 1e-11, 1e-10, 3e-9, 5e-9, 1e-8, 1e-6)),
+           tol=st.sampled_from((1e-10, 1e-8, 1e-6)),
+           norm=st.sampled_from((1.0, 1 + 3e-11, 1 + 1e-9)))
+    def test_verdict_is_the_norm_and_the_sic_row(self, f5, f7, d, seed, scale, tol, norm):
+        v = norm * perturbed({5: f5, 7: f7}[d].vector, scale, seed)
+        f = fid.SicFiducial(d=d, vector=v)
+        [(_, row, _, _)] = ladder.certificate_rows(f, None, (), ("sic",), True)
+        expected = abs(np.linalg.norm(v) - 1) <= 1e-10 and row <= tol
+        assert fid.verify_sic(f, tol=tol) == expected
 
     def test_memory_stays_at_table_size_at_195(self, sic195):
         # the overlap table is 0.6 MiB here; one d^2 x d orbit is 116 MiB

@@ -4,6 +4,7 @@ import pytest
 
 from sicladder import frames as fr
 from sicladder import ladder as lad
+from sicladder.clifford import eigenspace_basis
 from sicladder.errors import SicladderError
 
 
@@ -11,6 +12,12 @@ def basis_vec(d, j):
     e = np.zeros(d, dtype=complex)
     e[j] = 1.0
     return e
+
+
+def complement(reflection, d):
+    """Covariant generator of the -1 eigenspace of a block reflection: the
+    Naimark complement of the blocks, as `verify`'s etf-naimark row builds it."""
+    return fr.covariant_generator(eigenspace_basis(reflection, -1.0).T, d)
 
 
 class TestCheckTight:
@@ -25,8 +32,7 @@ class TestCheckTight:
         assert abs(cert.common_overlap_sq - 1.0 / 16) < 1e-8
 
     def test_complement_of_lift_is_etf(self, f5):
-        blocks = lad.lift_fiducial(f5)
-        comp = fr.naimark_complement(blocks, 5)
+        comp = complement(lad._lift_reflection(f5), 5)
         assert comp.shape == (10, 25)
         cert = fr.check_tight(comp)
         assert cert.is_tight and cert.is_equiangular
@@ -87,7 +93,8 @@ class TestTightnessBlockEquivalence:
 
 class TestNaimarkComplement:
     def test_basis_blocks_complement_is_leftover_orbit(self):
-        comp = fr.naimark_complement([basis_vec(3, 0), basis_vec(3, 1)], 3)
+        B = np.column_stack([basis_vec(3, 0), basis_vec(3, 1)])
+        comp = complement(2 * (B @ B.conj().T) - np.eye(3), 3)
         assert comp.shape == (3, 9)
         # the automatic completion of {e0, e1} is e2 itself
         assert np.abs(comp[:, 0] - basis_vec(3, 2)).max() < 1e-10
@@ -95,21 +102,10 @@ class TestNaimarkComplement:
         assert cert.is_tight and not cert.is_equiangular
 
     def test_gram_duality(self, f5):
-        blocks = lad.lift_fiducial(f5)
-        orig = fr.covariant_generator(blocks, 5)
-        comp = fr.naimark_complement(blocks, 5)
+        orig = fr.covariant_generator(lad.lift_fiducial(f5), 5)
+        comp = complement(lad._lift_reflection(f5), 5)
         G = orig.conj().T @ orig + comp.conj().T @ comp
         assert np.abs(G - 5.0 * np.eye(25)).max() < 1e-10
-
-    def test_rejects_non_orthonormal_blocks(self):
-        e0 = basis_vec(3, 0)
-        with pytest.raises(SicladderError, match="^blocks deviate from orthonormality by "):
-            fr.naimark_complement([e0, e0], 3)
-
-    def test_refuses_non_finite_block(self):
-        with pytest.raises(SicladderError,
-                           match="^blocks deviate from orthonormality by nan$"):
-            fr.naimark_complement([np.full(5, np.nan + 0j)], 5)
 
 
 class TestGrassmannEquidistance:
@@ -139,10 +135,30 @@ class TestGrassmannEquidistance:
         eq, _ = fr.grassmann_equidistance(bases)
         assert not eq
 
+    def test_distance_matches_principal_angles(self):
+        rng = np.random.default_rng(12)
+        q1, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        q2, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        cos = np.clip(np.linalg.svd(q1.conj().T @ q2, compute_uv=False), 0.0, 1.0)
+        _, dist = fr.grassmann_equidistance([q1, q2])
+        assert abs(dist - np.sqrt(np.sum(1 - cos ** 2))) < 1e-12
+
     def test_rejects_non_orthonormal(self):
         b = np.ones((3, 2), dtype=complex)
         with pytest.raises(SicladderError, match="^columns not orthonormal, deviation "):
             fr.grassmann_equidistance([b, np.eye(3)[:, :2]])
+
+    def test_rejects_non_orthonormal_line(self):
+        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation "):
+            fr.grassmann_equidistance([np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]])])
+
+    def test_refuses_non_finite_basis(self):
+        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation nan$"):
+            fr.grassmann_equidistance([np.full((2, 1), np.nan), np.array([[1.0], [0.0]])])
+
+    def test_rejects_unequal_ranks(self):
+        with pytest.raises(SicladderError, match="^subspaces must have equal dimension$"):
+            fr.grassmann_equidistance([np.eye(3)[:, :1], np.eye(3)[:, 1:]])
 
 
 def test_restrict_to_span_round_trip():

@@ -244,8 +244,7 @@ def test_exception_classes_are_caught():
 
 # frames and the certificate kernels, which ladder.certificate_rows calls
 CERTIFICATE_NAMES = {"frames", "two_design_deviation", "verify_alignment",
-                     "embedded_etf", "lift_fiducial", "naimark_complement",
-                     "check_tight"}
+                     "embedded_etf", "lift_fiducial", "check_tight"}
 
 
 def test_the_cli_computes_no_certificate():

@@ -8,8 +8,8 @@ import pytest
 from sicladder import fiducials as fid
 from sicladder import frames as fr
 from sicladder import ladder as lad
-from sicladder.clifford import (canonical_order3, order3_elements,
-                                symplectic_unitary)
+from sicladder.clifford import (canonical_order3, eigenspace_basis,
+                                order3_elements, symplectic_unitary)
 from sicladder.errors import BadPairing, NotASic, SicladderError
 from sicladder.heisenberg import crt_index, displacement
 
@@ -139,6 +139,23 @@ class TestLift:
         e0[0] = 1.0
         with pytest.raises(NotASic):
             lad.lift_fiducial(fid.SicFiducial(d=5, vector=e0))
+
+    @pytest.mark.parametrize("v, dev", ((np.full(5, 5 ** -0.5), r"1\.200e\+00$"),
+                                        (np.full(5, np.nan), "nan$")))
+    def test_refuses_blocks_off_orthonormality(self, monkeypatch, v, dev):
+        # the guard on the blocks that the etf-naimark row reflects, reached
+        # here past the SIC gate
+        monkeypatch.setattr(lad, "verify_sic", lambda f, tol: True)
+        with pytest.raises(SicladderError,
+                           match="^lift blocks deviate from orthonormality by " + dev):
+            lad.lift_fiducial(fid.SicFiducial(d=5, vector=v))
+
+    @pytest.mark.parametrize("name", ("f5", "f7", "f9"))
+    def test_reflection_complement_has_the_leftover_rank(self, name, request):
+        f = request.getfixturevalue(name)
+        R = lad._lift_reflection(f)
+        assert np.abs(R @ R - np.eye(f.d)).max() < 1e-12
+        assert eigenspace_basis(R, -1.0).shape == (f.d, (f.d - 1) // 2)
 
 
 class TestGeneralizedParity:

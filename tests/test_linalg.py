@@ -3,7 +3,7 @@ import pytest
 
 from sicladder import ladder as lad
 from sicladder.errors import SicladderError
-from sicladder.linalg import eig_unitary, phase_fix_columns, principal_angles
+from sicladder.linalg import eig_unitary, phase_fix_columns
 
 
 def random_unitary(n, seed):
@@ -75,40 +75,6 @@ class TestPartialTrace:
         ids = [ei[0] for _, ei in fam5.blocks]
         E = eb[:, ids]
         assert np.abs(red - (E @ E.conj().T) / 2).max() < 1e-12
-
-
-class TestPrincipalAngles:
-    def test_same_subspace(self):
-        U = random_unitary(4, seed=1)[:, :2]
-        ang = principal_angles(U, U)
-        assert np.abs(ang).max() < 1e-7
-
-    def test_orthogonal_lines(self):
-        U1 = np.array([[1.0], [0.0]])
-        U2 = np.array([[0.0], [1.0]])
-        ang = principal_angles(U1, U2)
-        assert abs(ang[0] - np.pi / 2) < 1e-12
-
-    def test_matches_svd(self):
-        rng = np.random.default_rng(12)
-        q1, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
-        q2, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
-        sv = np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
-        assert np.abs(np.cos(principal_angles(q1, q2)) - np.sort(sv)[::-1]).max() < 1e-12
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(13)
-        q1, _ = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
-        q2, _ = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
-        assert np.abs(principal_angles(q1, q2) - principal_angles(q2, q1)).max() < 1e-12
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation "):
-            principal_angles(np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
-
-    def test_refuses_non_finite_basis(self):
-        with pytest.raises(SicladderError, match="^columns not orthonormal, deviation nan$"):
-            principal_angles(np.full((2, 1), np.nan), np.array([[1.0], [0.0]]))
 
 
 def test_phase_fix_columns():

@@ -364,6 +364,22 @@ class TestClimbDriver:
         assert len(feas[0].results) == 0 and len(feas[1].results) == 3
         assert all(r.alignment.passes for r in feas[1].results)
 
+    def test_climb_leaves_its_input_unchanged(self, f5):
+        bare = fid.SicFiducial(d=5, vector=f5.vector)
+        out = opt.climb(bare)
+        assert bare.symmetry is None and bare.symmetry_eigenvalue is None
+        assert out.source.symmetry is not None and out.source is not bare
+        assert out.source.vector is bare.vector
+
+    def test_outcome_labels(self):
+        B = opt.BranchOutcome
+        g = np.eye(2, dtype=int)
+        assert B(g, n_params=1, results=[object()]).outcome == "solutions"
+        assert B(g, n_params=1).outcome == "empty branch"
+        assert B(g, n_params=2).outcome == "budget exhausted"
+        assert B(g, feasible=True).outcome == "not searched"
+        assert B(g).outcome == "not searched"
+
     def test_third_root_name_on_order6_labels_raises(self):
         # the committed 15 source takes the refined step; "w" would force
         # sixth-root exponent 1, which is e^{i pi/3}, not omega
