@@ -119,6 +119,18 @@ class TestGrassmannEquidistance:
         eq, dist = fr.grassmann_equidistance(bases)
         assert eq and abs(dist - 1.0) < 1e-12
 
+    def test_complex_plane_against_itself_at_zero_distance(self):
+        # a generic complex span, where ||U^dag U||_F^2 rounds just below r
+        rng = np.random.default_rng(1)
+        U, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        eq, dist = fr.grassmann_equidistance([U[:, :2], U[:, :2]])
+        assert eq and dist < 1e-7
+
+    def test_orthogonal_pair_of_lines_at_unit_distance(self):
+        eq, dist = fr.grassmann_equidistance([np.array([[1.0], [0.0]]),
+                                              np.array([[0.0], [1.0]])])
+        assert eq and abs(dist - 1.0) < 1e-12
+
     def test_translated_etf_spans_equidistant(self, f15):
         bases = lad.translated_subspaces(f15.vector, 5)
         assert len(bases) == 9
