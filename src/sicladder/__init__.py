@@ -6,8 +6,7 @@ and the seeded searches that find aligned SICs inside them.
 
 __version__ = "0.1.0"
 
-from .errors import (AlignmentRequired, BadPairing, NoMatchingPhase, NotASic,
-                     SearchFailed, SicladderError)
+from .errors import SearchFailed, SicladderError
 from .linalg import eig_unitary, phase_fix_columns
 from .heisenberg import (crt_index, crt_split_certificate, crt_split_index,
                          displaced_vector, displacement, omega, overlap_table,

@@ -22,6 +22,7 @@ import numpy as np
 from . import ladder, optimizer
 from .errors import SearchFailed, SicladderError
 from .fiducials import SicFiducial, overlap_phases, sic_defect, verify_sic
+from .heisenberg import _check_dim
 
 SCHEMA_VERSION = 1
 # verify's name column: fixed, so a row's bytes never depend on the other
@@ -86,8 +87,9 @@ def save_json(path, body):
 
 
 def _checked_vector(rows, d, what):
-    """A stored vector, refused unless its entries are finite, its norm is 1
-    to 1e-12 and its length is d."""
+    """A stored vector, refused unless d is odd and at least 3, its entries
+    are finite, its norm is 1 to 1e-12 and its length is d."""
+    _check_dim(d)
     v = _unpairs(rows, what)
     if abs(np.linalg.norm(v) - 1) > 1e-12:
         raise SicladderError(f"stored {what} is not normalized to 1e-12")
@@ -140,9 +142,9 @@ def load_artifact(path):
     climb report's solutions as fiducials, one list per branch.
 
     Fails closed: an unknown schema_version or kind, or a stored vector
-    (fiducial, embedded source or climb solution) with a non-finite entry,
-    a norm off 1 by more than 1e-12 or a length other than its dimension
-    field, raises SicladderError naming the vector.
+    (fiducial, embedded source or climb solution) whose dimension field is
+    even or below 3, or with a non-finite entry, a norm off 1 by more than
+    1e-12 or a length other than its dimension field, raises SicladderError.
     """
     return _load_artifact(path)[:3]
 
@@ -249,12 +251,11 @@ def cmd_climb(args):
 
 def cmd_verify(args):
     kind, body, stored, source = _load_artifact(args.input)
-    explicit = args.level != "all"
-    levels = (args.level,) if explicit else ("sic", "design", "alignment", "etf")
+    levels = ("sic", "design", "alignment", "etf") if args.level == "all" else (args.level,)
     f, branches = stored, ()
     if kind == "climb-report":
         f, branches = None, [(b["generator"], sols) for b, sols in zip(body["branches"], stored)]
-    rows = ladder.certificate_rows(f, source, branches, levels, explicit)
+    rows = ladder.certificate_rows(f, source, branches, levels)
 
     if not rows:
         print("nothing to check for this artifact", file=sys.stderr)

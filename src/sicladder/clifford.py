@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .errors import NoMatchingPhase, SicladderError
+from .errors import SicladderError
 from .heisenberg import _check_dim, tau_powers
 from .linalg import eig_unitary
 
@@ -85,7 +85,7 @@ def _scalar_of_power(U, order):
     Up = np.linalg.matrix_power(U, order)
     c = Up[0, 0]
     if not np.abs(Up - c * np.eye(len(U))).max() <= 1e-8:
-        raise NoMatchingPhase("U^order is not a scalar matrix")
+        raise SicladderError("U^order is not a scalar matrix")
     return c
 
 
@@ -97,7 +97,7 @@ def fix_phase_to_table(U, order):
     rescaling must reproduce the pattern's eigenvalue-1 multiplicity and the
     remaining multiplicities as a multiset; that pins it uniquely, since the
     eigenvalue-1 entry differs from the others in every pattern.
-    NoMatchingPhase if no rescaling works (symplectics whose spectrum is
+    SicladderError if no rescaling works (symplectics whose spectrum is
     shaped differently, e.g. most involutions other than parity).
     """
     d = len(U)
@@ -114,7 +114,7 @@ def fix_phase_to_table(U, order):
         counts = tuple(int(np.sum(m == q)) for q in range(order))
         if counts[0] == expected[0] and sorted(counts) == sorted(expected):
             return r * U
-    raise NoMatchingPhase(
+    raise SicladderError(
         f"no global phase gives multiplicities {expected} at order {order}")
 
 
@@ -180,9 +180,10 @@ def canonical_order3(d):
     for F in order3_elements(d):
         if F[0, 1]:
             continue
+        U = symplectic_unitary(F, d)
         try:
-            fix_phase_to_table(symplectic_unitary(F, d), 3)
-        except NoMatchingPhase:
+            fix_phase_to_table(U, 3)
+        except SicladderError:
             continue
         F.setflags(write=False)
         return F

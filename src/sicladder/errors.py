@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every package error is a SicladderError. A subclass exists only where
-package code catches it to tell that failure apart from the others; a
-failure that nothing tells apart raises SicladderError with its message.
+Every package error is a SicladderError, and a refusal raises it with its
+message. A subclass exists only where one try statement tells it apart
+from its base class, with a handler for each: SearchFailed, which the CLI
+maps to exit 2 and every other SicladderError to exit 1.
 """
 
 
@@ -10,21 +11,5 @@ class SicladderError(Exception):
     """Base class for all package errors."""
 
 
-class NoMatchingPhase(SicladderError):
-    pass
-
-
-class NotASic(SicladderError):
-    pass
-
-
 class SearchFailed(SicladderError):
-    pass
-
-
-class BadPairing(SicladderError):
-    pass
-
-
-class AlignmentRequired(SicladderError):
     pass

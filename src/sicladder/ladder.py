@@ -38,8 +38,7 @@ import numpy as np
 
 from .clifford import (eigenspace_basis, fix_phase_principal,
                        fix_phase_to_table, parity_operator, symplectic_unitary)
-from .errors import (AlignmentRequired, BadPairing, NoMatchingPhase, NotASic,
-                     SicladderError)
+from .errors import SicladderError
 from .fiducials import (_table_image, _table_maps, detect_scalar_symmetry,
                         overlap_phases, two_design_deviation, verify_sic)
 from .frames import check_tight, covariant_generator, restrict_to_span
@@ -74,7 +73,7 @@ def lift_fiducial(f):
     symmetric, so the antisymmetric blocks vanish identically.
     """
     if not verify_sic(f, tol=1e-8):
-        raise NotASic("lift requires a verified SIC fiducial")
+        raise SicladderError("lift requires a verified SIC fiducial")
     d, psi = f.d, np.asarray(f.vector, dtype=complex)
     half, kap = (d - 1) // 2, (d + 1) // 2
     x, i = np.arange(kap)[:, None], np.arange(d)
@@ -142,7 +141,7 @@ def _snap_root(x, order):
 def _fix_order3(U):
     try:
         return fix_phase_to_table(U, 3)
-    except NoMatchingPhase:
+    except SicladderError:
         # other conjugacy class: no tabulated pattern, take the principal root
         return fix_phase_principal(U, 3)
 
@@ -357,7 +356,7 @@ def make_pairing(f_basis, e_basis, target_exponent):
         ei = [i for i, l in enumerate(e_basis.labels)
               if l == (target_exponent - lab) % order]
         if len(fi) != len(ei):
-            raise BadPairing(
+            raise SicladderError(
                 f"label {lab}: {len(fi)} f-vectors vs {len(ei)} e-vectors at target {target_exponent}")
         blocks.append((fi, ei))
     return blocks
@@ -368,7 +367,7 @@ def make_proto_family(f, e_basis, f_basis, target_exponent, conjugate=False):
                       blocks=make_pairing(f_basis, e_basis, target_exponent),
                       conjugate=conjugate)
     if conjugate and fam.block_sizes != [1, 1, 1]:
-        raise BadPairing(
+        raise SicladderError(
             f"conjugate pairing needs three singleton blocks, got {fam.block_sizes}")
     return fam
 
@@ -493,7 +492,7 @@ def embedded_etf(psi, d):
     n1 = d - 2
     A = to_tensor(psi, d)
     if not _unit_condition_error(A, d) <= 1e-8:
-        raise AlignmentRequired("unit-overlap condition fails; not a proto vector")
+        raise SicladderError("unit-overlap condition fails; not a proto vector")
     return covariant_generator(A, d)[crt_index(n1, d)]
 
 
@@ -545,7 +544,8 @@ def _etf_frame(generator, d):
                               abs(cert.common_overlap_sq - 1.0 / (d - 1) ** 2))
 
 
-def _vector_rows(f, source, levels, explicit, prefix):
+def _vector_rows(f, source, levels, prefix):
+    explicit = len(levels) == 1
     rows = []
     if "sic" in levels:
         rows.append((prefix + "sic", overlap_phases(f).defect, None))
@@ -557,7 +557,10 @@ def _vector_rows(f, source, levels, explicit, prefix):
                 raise SicladderError(
                     "alignment verification needs a file with an embedded source")
         else:
-            cert = verify_alignment(f.vector, overlap_phases(source), tol=PASS_TOL)
+            try:
+                cert = verify_alignment(f.vector, overlap_phases(source), tol=PASS_TOL)
+            except SicladderError:
+                cert = AlignmentCertificate(passes=False)
             err = max(cert.max_err_unit_condition, cert.max_err_phase_condition)
             rows.append((prefix + "alignment", err, cert.matrix_M))
     if "etf" in levels:
@@ -571,30 +574,34 @@ def _vector_rows(f, source, levels, explicit, prefix):
             d = 1 + r
             try:
                 rank, err = _etf_frame(embedded_etf(f.vector, d), d)
-                rows.append((prefix + "etf-rank", float(abs(rank - d * (d - 1) // 2)), None))
-            except AlignmentRequired:
-                err = np.inf
-            rows.append((prefix + "etf-frame", err, None))
+                rank_err = float(abs(rank - d * (d - 1) // 2))
+            except SicladderError:
+                rank_err = err = np.inf
+            rows += [(prefix + "etf-rank", rank_err, None), (prefix + "etf-frame", err, None)]
     return rows
 
 
-def certificate_rows(f, source, branches, levels, explicit):
+def certificate_rows(f, source, branches, levels):
     """The rows of `sicladder verify`, as records (name, error, passed, M),
     with M the alignment reindexing matrix or None. Prints nothing.
 
     f: a stored fiducial or None; source: the fiducial it (or the climb
     report) was climbed from, or None; branches: a climb report's
     (generator, solutions) pairs. A level of levels that does not apply to
-    a vector is skipped, or an error when explicit (named by the user).
+    a vector is skipped, or an error when it is the only level asked for.
+    A kernel that refuses its input fails its row with error inf.
     """
-    rows = [] if f is None else _vector_rows(f, source, levels, explicit, "")
+    rows = [] if f is None else _vector_rows(f, source, levels, "")
     for bi, (generator, sols) in enumerate(branches):
         for si, s in enumerate(sols):
-            rows += _vector_rows(s, source, levels, explicit, f"branch{bi}-sic{si}:")
+            rows += _vector_rows(s, source, levels, f"branch{bi}-sic{si}:")
         if "alignment" in levels and len(sols) == 3:
             # three solutions of one branch: an orbit of the branch's
             # small-side generator, equidistant on the family's equator
-            held = equator_geometry_check([s.vector for s in sols], generator, source.d)
+            try:
+                held = equator_geometry_check([s.vector for s in sols], generator, source.d)
+            except SicladderError:
+                held = False
             rows.append((f"branch{bi}:equator", 0.0 if held else np.inf, None))
     if "etf" in levels and source is not None:
         # the source's side of the embedded ETF: the Naimark complement of its
@@ -603,7 +610,7 @@ def certificate_rows(f, source, branches, levels, explicit):
         try:
             comp = eigenspace_basis(_lift_reflection(source), -1.0)
             err = _etf_frame(covariant_generator(comp.T, source.d), source.d)[1]
-        except NotASic:
+        except SicladderError:
             err = np.inf
         rows.append(("etf-naimark", err, None))
     return [(name, err, err <= PASS_TOL, M) for name, err, M in rows]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ladder
 from .clifford import canonical_order3, order3_elements
-from .errors import BadPairing, NotASic, SicladderError
+from .errors import SicladderError
 from .fiducials import (SicFiducial, detect_order3_symmetry, find_fiducial,
                         overlap_phases, sector_fiducials, sic_defect, verify_sic)
 from .heisenberg import displaced_vector
@@ -360,24 +360,8 @@ def climb(source, sector="auto", all_generators=False, conjugate=False, cfg=None
     without a symmetry is climbed, and returned as the outcome's source, as
     a copy carrying its detected order-3 one; the caller's is not changed.
     """
-    refine = not (all_generators or conjugate)
-    involutions = ladder.refining_involutions(source) if refine else None
-    return _climb(source, sector, all_generators, conjugate, cfg, involutions)
-
-
-def climb_refined(source, cfg=None):
-    """climb on the refined route, raising when it cannot be built.
-
-    Kept as a name of its own because perfbench's worker calls it.
-    """
-    involutions = ladder.refining_involutions(source)
-    if involutions is None:
-        raise SicladderError("the refined step needs -1 a square mod d-2 and a "
-                             "scalar involution symmetry of the source")
-    return _climb(source, "auto", False, False, cfg, involutions)
-
-
-def _climb(source, sector, all_generators, conjugate, cfg, involutions):
+    involutions = (None if all_generators or conjugate
+                   else ladder.refining_involutions(source))
     named = isinstance(sector, str) and sector in SECTOR_NAMES
     if involutions is not None and named and SECTOR_NAMES[sector] != 0:
         raise SicladderError(
@@ -427,7 +411,7 @@ def _climb(source, sector, all_generators, conjugate, cfg, involutions):
             try:
                 fam = ladder.make_proto_family(source, e_basis, f_basis, t,
                                                conjugate=conjugate)
-            except BadPairing as ex:
+            except SicladderError as ex:
                 br.error = str(ex)
                 continue
             br.n_params = fam.n_params
@@ -441,11 +425,22 @@ def _climb(source, sector, all_generators, conjugate, cfg, involutions):
                         elapsed_s=time.time() - t0)
 
 
+def climb_refined(source, cfg=None):
+    """climb on the refined route, raising when it cannot be built.
+
+    Kept as a name of its own because perfbench's worker calls it.
+    """
+    if ladder.refining_involutions(source) is None:
+        raise SicladderError("the refined step needs -1 a square mod d-2 and a "
+                             "scalar involution symmetry of the source")
+    return climb(source, cfg=cfg)
+
+
 def promote_solution(psi, d, label=""):
     """Wrap a climb solution vector as a fiducial with detected symmetry."""
     f = SicFiducial(d=d, vector=np.asarray(psi, dtype=complex), label=label)
     if not verify_sic(f, tol=1e-8):
-        raise NotASic("solution vector does not verify as a SIC fiducial")
+        raise SicladderError("solution vector does not verify as a SIC fiducial")
     det = detect_order3_symmetry(f)
     if det is not None:
         f.symmetry, f.symmetry_eigenvalue = det

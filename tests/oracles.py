@@ -6,7 +6,8 @@ member's coefficients as one flat vector; the tests compare against the
 matrix and the per-block unitaries. Its 2-design certificate reads the
 trace table of psi psi^T; the tests compare against the dense doubled frame
 operator and, above d of about 35 where that is out of reach, against the
-fourth-moment table route.
+fourth-moment table route. The property tests near a SIC share one seeded
+perturbation.
 """
 import functools
 
@@ -70,3 +71,10 @@ def two_design_deviation_table(v):
     G = np.einsum("kt,klt->kl", P, P.conj()[rows[:, :, None], idx])
     sym2 = np.eye(d) + np.eye(d)[:1]          # delta_{k,l} + delta_{l,0}
     return float(np.abs(d * G - d / (d + 1) * sym2).max())
+
+
+def perturbed(v, scale, seed):
+    """v plus scale times a seeded complex normal vector, renormalized."""
+    rng = np.random.default_rng(seed)
+    w = v + scale * (rng.normal(size=len(v)) + 1j * rng.normal(size=len(v)))
+    return w / np.linalg.norm(w)

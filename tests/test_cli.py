@@ -13,6 +13,8 @@ from sicladder import fiducials as fid
 from sicladder import ladder
 from sicladder.fiducials import SicFiducial
 
+from oracles import perturbed
+
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
@@ -206,6 +208,18 @@ class TestFailClosed:
                                 " is not normalized to 1e-12\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["climb", "report-overlaps", "verify"])
+    def test_even_dimension_is_refused_at_load(self, tmp_path, capsys, command):
+        # heisenberg's conventions hold for odd d only, so no command reads
+        # an 8-dimensional fiducial file past the load
+        p = _random_fiducial_file(tmp_path / "even.json", d=8)
+        extra = ["--out", str(tmp_path / "c.json")] if command == "climb" else []
+        assert cli.main([command, "--input", p, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: odd dimension >= 3 required, got 8\n"
+        assert captured.out == ""
+        assert not (tmp_path / "c.json").exists()
+
     def test_non_object_json(self, tmp_path):
         p = tmp_path / "list.json"
         p.write_text("[1, 2]")
@@ -242,12 +256,12 @@ class TestCertificateRows:
         _, body, branches, source = cli._load_artifact(str(art / "climb15.json"))
         report = ladder.certificate_rows(
             None, source, [(b["generator"], sols) for b, sols in zip(body["branches"], branches)],
-            self.LEVELS, False)
+            self.LEVELS)
         expected, naimark, n = [], set(), 0
         for bi, sols in enumerate(branches):
             for si in range(len(sols)):
                 _, _, f, src = cli._load_artifact(str(art / f"climb15-sic{n}.json"))
-                rows = self._values(ladder.certificate_rows(f, src, (), self.LEVELS, False))
+                rows = self._values(ladder.certificate_rows(f, src, (), self.LEVELS))
                 assert rows[-1][0] == "etf-naimark"
                 naimark.add(rows[-1])
                 expected += [(f"branch{bi}-sic{si}:{name}", *rest) for name, *rest in rows[:-1]]
@@ -257,6 +271,25 @@ class TestCertificateRows:
         assert n == 3 and len(naimark) == 1
         assert self._values(report) == expected + [naimark.pop()]
         assert capsys.readouterr().out == ""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(exponent=st.floats(-13, -7), which=st.integers(-1, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_perturbed_report_keeps_its_rows(self, art, tmp_path_factory, exponent, which, seed):
+        # a refused certificate fails its row: a source or solution off its
+        # SIC by s eta changes row values, never the rows or a raise
+        def rows(path):
+            _, body, branches, source = cli._load_artifact(str(path))
+            pairs = [(b["generator"], sols) for b, sols in zip(body["branches"], branches)]
+            return [name for name, *_ in ladder.certificate_rows(None, source, pairs, self.LEVELS)]
+
+        body = json.loads((art / "climb15.json").read_text())
+        sols = [sol for b in body["branches"] for sol in b["solutions"]]
+        entry = body["source"] if which < 0 else sols[which]
+        entry["vector"] = cli._pairs(perturbed(cli._unpairs(entry["vector"]), 10 ** exponent, seed))
+        p = tmp_path_factory.mktemp("perturbed") / "climb15.json"
+        cli.save_json(str(p), body)
+        assert rows(p) == rows(art / "climb15.json")
 
 
 class TestFiducialFind:
@@ -485,6 +518,47 @@ class TestVerify:
         assert _rows(out)["etf-naimark"] == "FAIL"
         assert "inf" in next(line for line in out.splitlines()
                              if line.startswith("etf-naimark"))
+
+    @staticmethod
+    def _verify_edited(art, tmp_path, capsys, name, edit):
+        """verify's exit code and rows (name -> [error, verdict]) on an
+        edited copy of an artifact, and the row names of the original."""
+        assert cli.main(["verify", "--input", str(art / name)]) == 0
+        names = list(_rows(capsys.readouterr().out))
+        body = json.loads((art / name).read_text())
+        edit(body)
+        p = tmp_path / name
+        cli.save_json(str(p), body)
+        rc = cli.main(["verify", "--input", str(p)])
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()
+                if line.split()[-1:] in (["pass"], ["FAIL"])}
+        return rc, names, rows
+
+    def test_source_off_unitarity_fails_the_naimark_row(self, art, tmp_path, capsys):
+        # the source passes the lift's SIC gate, but its reflection is off
+        # unitarity by more than the eigensolver accepts
+        _, _, f5 = cli.load_artifact(str(art / "f5.json"))
+        def edit(body):
+            body["source"]["vector"] = cli._pairs(perturbed(f5.vector, 1e-10, seed=0))
+        rc, names, rows = self._verify_edited(art, tmp_path, capsys, "climb15-sic0.json", edit)
+        assert rc == 1 and list(rows) == names
+        assert rows["etf-naimark"] == ["inf", "FAIL"]
+
+    def test_singular_generator_fails_the_equator_row(self, art, tmp_path, capsys):
+        body = json.loads((art / "climb15.json").read_text())
+        bi = next(i for i, b in enumerate(body["branches"]) if len(b["solutions"]) == 3)
+        def edit(body):
+            body["branches"][bi]["generator"] = [[1, 1], [1, 1]]
+        rc, names, rows = self._verify_edited(art, tmp_path, capsys, "climb15.json", edit)
+        assert rc == 1 and list(rows) == names
+        assert rows[f"branch{bi}:equator"] == ["inf", "FAIL"]
+
+    def test_source_from_another_rung_fails_the_alignment_row(self, art, f7, tmp_path, capsys):
+        def edit(body):
+            body["source"] = {"dimension": 7, "vector": cli._pairs(f7.vector)}
+        rc, names, rows = self._verify_edited(art, tmp_path, capsys, "climb15-sic0.json", edit)
+        assert rc == 1 and list(rows) == names
+        assert rows["alignment"] == ["inf", "FAIL"]
 
     def test_census_report_has_four_equator_rows(self, art, tmp_path, capsys):
         out = tmp_path / "census.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sicladder import clifford as cl
-from sicladder.errors import NoMatchingPhase, SicladderError
+from sicladder.errors import SicladderError
 from sicladder.heisenberg import crt_index, displacement
 
 from oracles import crt_permutation
@@ -305,11 +305,11 @@ class TestPhaseFix:
         # parity pattern, so the table fix must refuse it
         F = np.array([[2, 0], [0, 3]])  # 2*3 = 6 = 1 mod 5, order 4
         U = cl.symplectic_unitary(F, 5)
-        with pytest.raises(NoMatchingPhase):
+        with pytest.raises(SicladderError, match=r"^U\^order is not a scalar matrix$"):
             cl.fix_phase_to_table(U, 2)
 
     def test_principal_fix_refuses_non_finite_matrix(self):
-        with pytest.raises(NoMatchingPhase):
+        with pytest.raises(SicladderError, match=r"^U\^order is not a scalar matrix$"):
             cl.fix_phase_principal(np.full((3, 3), np.nan + 0j), 3)
 
     def test_principal_fix_gives_unit_power(self):

@@ -6,7 +6,8 @@ strings), or tests/test_acceptance.py. Every field of a dataclass or
 NamedTuple in the package is read by attribute name in those same places,
 and every defaulted parameter takes two values over the calls there.
 Every exception class of the package is named in an except clause of
-package code, no module imports scipy, and cli neither imports nor reads
+package code, and a subclass only in a try statement that also handles its
+base class; no module imports scipy, and cli neither imports nor reads
 frames or a certificate kernel.
 
 __init__.py is exempt from the import check (its imports are the public
@@ -240,6 +241,26 @@ def test_exception_classes_are_caught():
               for n in _names(node.type)}
     assert errors, "no exception class found in the package"
     assert not errors - caught, f"exception classes no except clause names: {sorted(errors - caught)}"
+
+
+def test_a_caught_subclass_is_told_apart_from_its_base():
+    # a subclass earns its type where one try statement handles both it and
+    # its base class, so the two outcomes differ there; caught alone, it
+    # does what catching the base does
+    trees = {p: ast.parse(p.read_text()) for p in PACKAGE}
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    subclasses = {name: b & bases.keys() for name, b in bases.items() if b & bases.keys()}
+    alone = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Try):
+                handled = set().union(*(_names(h.type) for h in node.handlers if h.type))
+                alone += [f"{path.stem}:{node.lineno} {name}"
+                          for name in sorted(handled & subclasses.keys())
+                          if not subclasses[name] & handled]
+    assert subclasses, "no exception subclass found in the package"
+    assert not alone, f"subclasses caught without a handler for their base: {alone}"
 
 
 # frames and the certificate kernels, which ladder.certificate_rows calls

@@ -21,8 +21,7 @@ from sicladder.clifford import (canonical_order3, eigenspace_basis,
                                 fix_phase_to_table, order3_elements,
                                 parity_operator, symplectic_unitary,
                                 zauner_matrix_standard)
-from sicladder.errors import (AlignmentRequired, BadPairing, NoMatchingPhase,
-                              SicladderError)
+from sicladder.errors import SicladderError
 from sicladder.heisenberg import (_diagonal_tables, crt_index,
                                   crt_to_tensor, displaced_vector,
                                   displacement, overlap_table, tau_powers,
@@ -194,7 +193,7 @@ def _family(f, n1, conjugate=False):
         for t in lad.feasible_targets(f_b, e_b):
             try:
                 return lad.make_proto_family(f, e_b, f_b, t, conjugate=conjugate)
-            except BadPairing:
+            except SicladderError:
                 continue
     raise AssertionError("no constructible family")
 
@@ -675,7 +674,7 @@ def seed_embedded_etf(psi, d, tol=1e-8):
     n1 = d - 2
     A = lad.to_tensor(psi, d)
     if not seed_unit_condition_error(A, d) <= tol:
-        raise AlignmentRequired("unit-overlap condition fails")
+        raise SicladderError("unit-overlap condition fails")
     g = crt_index(n1, d)
     cols = np.empty((n1 * d, d * d), dtype=complex)
     c = 0
@@ -748,8 +747,9 @@ def test_embedded_etf_matches_the_dense_columns(matcher_cases):
         d = src.d
         try:
             old = seed_embedded_etf(f.vector, d)
-        except AlignmentRequired:
-            with pytest.raises(AlignmentRequired):
+        except SicladderError:
+            with pytest.raises(SicladderError,
+                               match="^unit-overlap condition fails; not a proto vector$"):
                 lad.embedded_etf(f.vector, d)
             continue
         cols = lad.embedded_etf(f.vector, d)
@@ -772,7 +772,7 @@ def seed_canonical_order3(d):
             continue
         try:
             fix_phase_to_table(U, 3)
-        except NoMatchingPhase:
+        except SicladderError:
             continue
         return F
     return zauner_matrix_standard(d)

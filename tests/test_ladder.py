@@ -10,7 +10,7 @@ from sicladder import frames as fr
 from sicladder import ladder as lad
 from sicladder.clifford import (canonical_order3, eigenspace_basis,
                                 order3_elements, symplectic_unitary)
-from sicladder.errors import BadPairing, NotASic, SicladderError
+from sicladder.errors import SicladderError
 from sicladder.heisenberg import crt_index, displacement
 
 from oracles import coefficient_blocks, crt_permutation
@@ -137,7 +137,7 @@ class TestLift:
     def test_rejects_non_sic(self):
         e0 = np.zeros(5, dtype=complex)
         e0[0] = 1.0
-        with pytest.raises(NotASic):
+        with pytest.raises(SicladderError, match="^lift requires a verified SIC fiducial$"):
             lad.lift_fiducial(fid.SicFiducial(d=5, vector=e0))
 
     @pytest.mark.parametrize("v, dev", ((np.full(5, 5 ** -0.5), r"1\.200e\+00$"),
@@ -192,7 +192,7 @@ class TestGeneralizedParity:
         rng = np.random.default_rng(0)
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
         f = fid.SicFiducial(d=5, vector=v / np.linalg.norm(v))
-        with pytest.raises(NotASic):
+        with pytest.raises(SicladderError, match="^lift requires a verified SIC fiducial$"):
             lad.generalized_parity(f)
 
 
@@ -248,7 +248,7 @@ class TestFeasibleTargets:
     def test_infeasible_pairing_raises(self, f5):
         P = lad.generalized_parity(f5)
         e_b, f_b = lad.paired_bases(f5, canonical_order3(3), P)
-        with pytest.raises(BadPairing):
+        with pytest.raises(SicladderError, match="^label 0: 1 f-vectors vs 0 e-vectors at target 0$"):
             lad.make_pairing(f_b, e_b, 0)
 
 
@@ -366,11 +366,13 @@ class TestEmbeddedEtf:
     def test_refuses_unaligned_vector(self):
         rng = np.random.default_rng(4)
         v = rng.normal(size=15) + 1j * rng.normal(size=15)
-        with pytest.raises(lad.AlignmentRequired):
+        with pytest.raises(SicladderError,
+                           match="^unit-overlap condition fails; not a proto vector$"):
             lad.embedded_etf(v / np.linalg.norm(v), 5)
 
     def test_refuses_non_finite_vector(self):
-        with pytest.raises(lad.AlignmentRequired):
+        with pytest.raises(SicladderError,
+                           match="^unit-overlap condition fails; not a proto vector$"):
             lad.embedded_etf(np.full(15, np.nan + 0j), 5)
 
 

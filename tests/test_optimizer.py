@@ -11,7 +11,7 @@ from sicladder import fiducials as fid
 from sicladder import ladder as lad
 from sicladder import optimizer as opt
 from sicladder.clifford import canonical_order3, order3_elements
-from sicladder.errors import NotASic, SicladderError
+from sicladder.errors import SicladderError
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -412,7 +412,8 @@ class TestClimbDriver:
     def test_promote_solution_gates_on_sic(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=15) + 1j * rng.normal(size=15)
-        with pytest.raises(NotASic):
+        with pytest.raises(SicladderError,
+                           match="^solution vector does not verify as a SIC fiducial$"):
             opt.promote_solution(v / np.linalg.norm(v), 15)
 
     def test_promoted_fiducial_carries_symmetry(self, f15):
